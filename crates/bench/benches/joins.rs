@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use minesweeper_baselines::algorithms;
-use minesweeper_core::plan;
+use minesweeper_core::{plan, Run};
 use minesweeper_workloads::appendix_j::hidden_certificate_instance;
 use minesweeper_workloads::graphs::{chung_lu, symmetrize};
 use minesweeper_workloads::star_query;
@@ -53,18 +53,19 @@ fn streaming_limit(c: &mut Criterion) {
     // Z ≫ k: early termination through the streaming executor pays only
     // for the first k certified tuples.
     let inst = hidden_certificate_instance(4, 32);
-    let p = plan(&inst.db, &inst.query).unwrap();
+    let db = std::sync::Arc::new(inst.db);
+    let p = plan(&db, &inst.query).unwrap();
     let mut group = c.benchmark_group("limit_pushdown");
     group.sample_size(10);
     group.bench_function("stream_take_10", |b| {
         b.iter(|| {
-            let stream = p.stream(&inst.db).unwrap();
-            black_box(stream.take(10).count())
+            let bound = p.prepare_exec(&db).unwrap();
+            black_box(bound.open(&db, &Run::default()).take(10).count())
         })
     });
     group.bench_function("materialize_then_truncate_10", |b| {
         b.iter(|| {
-            let exec = p.execute(&inst.db).unwrap();
+            let exec = p.execute(&db).unwrap();
             black_box(exec.result.tuples.iter().take(10).count())
         })
     });

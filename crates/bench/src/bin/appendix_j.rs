@@ -16,12 +16,14 @@
 //! deterministic work counters (and ungated wall times) are also written
 //! as flat JSON for CI's `bench_gate` regression check.
 
+use std::sync::Arc;
+
 use minesweeper_baselines::{
     generic_join, hash_join_plan, index_nested_loop, leapfrog_triejoin, yannakakis,
 };
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
 use minesweeper_cds::ProbeMode;
-use minesweeper_core::{minesweeper_join, plan, Query};
+use minesweeper_core::{minesweeper_join, plan, Query, Run};
 use minesweeper_storage::{builder, Database};
 use minesweeper_workloads::appendix_j::hidden_certificate_instance;
 
@@ -124,21 +126,30 @@ fn main() {
     while chunk <= mmax {
         let n = chunk * 16;
         let (db, q) = skewed_instance(n);
+        let db = Arc::new(db);
         let p = plan(&db, &q).expect("skewed instance plans");
         let serial = p.execute(&db).expect("serial run");
-        let (par, t_par) = timed(|| p.execute_parallel(&db, SKEW_THREADS).expect("parallel run"));
+        let run = Run {
+            threads: Some(SKEW_THREADS),
+            ..Run::default()
+        };
+        let (par, t_par) = timed(|| {
+            let bound = p.prepare_exec(&db).expect("skewed instance binds");
+            bound.execute(&db, &run)
+        });
+        let shards = par.shards.as_deref().expect("a worker count was given");
         assert_eq!(
             par.result.tuples, serial.result.tuples,
             "skewed parallel output must stay byte-identical"
         );
-        let nested = par.shards.iter().filter(|s| s.spec.is_nested()).count();
+        let nested = shards.iter().filter(|s| s.spec.is_nested()).count();
         assert!(
-            par.shards.len() > 1 && nested > 0,
+            shards.len() > 1 && nested > 0,
             "nested split must engage on the duplicate run"
         );
         record.metric(
             format!("appendixj_skew_M{chunk}_shards"),
-            par.shards.len() as u64,
+            shards.len() as u64,
         );
         record.metric(
             format!("appendixj_skew_M{chunk}_probes"),
@@ -152,7 +163,7 @@ fn main() {
         skew_table.row(&[
             chunk.to_string(),
             human(db.total_tuples() as u64),
-            par.shards.len().to_string(),
+            shards.len().to_string(),
             nested.to_string(),
             human(par.result.stats.outputs),
             human(par.result.stats.probe_points),

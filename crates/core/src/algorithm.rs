@@ -12,9 +12,11 @@
 //! attribute space, **sorted lexicographically in the original attribute
 //! numbering**.
 
+use std::sync::Arc;
+
 use minesweeper_storage::{Database, ExecStats};
 
-use crate::execute::execute;
+use crate::execute::{execute, Run};
 use crate::minesweeper::JoinResult;
 use crate::naive::naive_join;
 use crate::query::{Query, QueryError};
@@ -59,9 +61,9 @@ impl Algorithm for Minesweeper {
 }
 
 /// The paper's algorithm run shard-parallel: [`crate::plan()`] →
-/// [`crate::ShardedPlan`] (equi-depth shards of the first GAO attribute,
-/// one probe loop per worker). Output is byte-identical to
-/// [`Minesweeper`]'s on every query.
+/// [`crate::PreparedExec::execute`] with a worker count (equi-depth
+/// shards of the first GAO attribute, one probe loop per shard task).
+/// Output is byte-identical to [`Minesweeper`]'s on every query.
 #[derive(Debug, Clone, Copy)]
 pub struct MinesweeperPar {
     /// Worker-thread / maximum-shard count.
@@ -100,8 +102,15 @@ impl Algorithm for MinesweeperPar {
     }
 
     fn run(&self, db: &Database, query: &Query) -> Result<JoinResult, QueryError> {
-        let exec = crate::plan(db, query)?.execute_parallel(db, self.threads)?;
-        Ok(exec.result)
+        // Shard workers co-own the database they probe; relations are
+        // `Arc`-shared inside, so this clone is O(relations).
+        let db = Arc::new(db.clone());
+        let run = Run {
+            threads: Some(self.threads),
+            ..Run::default()
+        };
+        let exec = crate::plan(&db, query)?.prepare_exec(&db)?;
+        Ok(exec.execute(&db, &run).result)
     }
 }
 

@@ -15,19 +15,21 @@
 //! Entry points:
 //! * [`Query`] — atoms over a GAO, with hypergraph extraction;
 //! * [`plan()`] — validation + GAO/probe-mode/re-index selection, producing
-//!   a reusable, inspectable [`Plan`];
-//! * [`Plan::stream`] — the lazy [`TupleStream`] executor: tuples are
-//!   yielded as they are certified, `take(k)` stops the probe loop early,
-//!   and [`TupleStream::stats`] reads counters mid-flight;
-//! * [`execute()`] — the materialize-everything wrapper (sorted in the
-//!   original attribute numbering);
-//! * [`ShardedPlan`] / [`Plan::execute_parallel`] — parallel execution:
-//!   equi-depth shards of the first GAO attribute's domain (nested
-//!   second-attribute splits for heavy duplicate runs), one independent
-//!   probe loop per shard task on a work-stealing deque, and an
-//!   order-preserving reassembly whose output is byte-identical to the
-//!   serial run; [`ShardedStream`] is the incremental form on background
-//!   workers and bounded channels, with early cancellation;
+//!   a reusable, inspectable [`Plan`]; [`Plan::prepare_exec`] binds it to
+//!   a database (the one re-index build) as a cacheable [`PreparedExec`];
+//! * [`PreparedExec::open`] — **the** way to run a plan: a [`Run`] names
+//!   the restrictions (worker count, limit, literal seeds) and the
+//!   returned [`ExecStream`] yields tuples as they are certified, in
+//!   global attribute order — pull `k` and the probe loop stops early,
+//!   [`ExecStream::stats`] reads counters mid-flight, and
+//!   [`ExecStream::finish`] returns the final (per-shard) accounting.
+//!   Asked for workers, the same stream is fed by equi-depth shards of the
+//!   first GAO attribute's domain (nested second-attribute splits for
+//!   heavy duplicate runs) on a work-stealing deque, merged back into the
+//!   identical sequence;
+//! * [`PreparedExec::execute`] — drain that stream, sorted in the original
+//!   attribute numbering; [`Plan::execute`] and [`execute()`] are the
+//!   bind-and-drain shorthands;
 //! * [`Algorithm`] — the unified evaluator trait implemented by
 //!   [`Minesweeper`], [`Naive`], and every baseline (registry in
 //!   `minesweeper_baselines::registry`);
@@ -65,7 +67,7 @@ pub mod triangle;
 pub use algorithm::{Algorithm, Minesweeper, MinesweeperPar, Naive};
 pub use bowtie::bowtie_join;
 pub use certificate::{canonical_certificate_size, Argument, Comparison, VarRef};
-pub use execute::{execute, Execution};
+pub use execute::{execute, ExecStream, Execution, Run};
 pub use explain::{
     json_string, ExplainAtom, ExplainCache, ExplainPlan, ExplainShards, ExplainStorage,
 };
@@ -73,12 +75,10 @@ pub use gao::{choose_gao, private_attributes_last, reindex_for_gao, GaoChoice};
 pub use minesweeper::{minesweeper_join, JoinResult};
 pub use naive::naive_join;
 pub use partition::{partition_certificate, PartitionCertificate, PartitionItem};
-pub use plan::{plan, Plan, PreparedExec, PreparedPlan};
+pub use plan::{plan, Plan, PreparedExec};
 pub use query::{Atom, Query, QueryError};
 pub use set_intersection::{set_intersection, set_intersection_galloping};
 pub use sharded::{
-    shard_strategy, ShardReport, ShardStats, ShardedExecution, ShardedPlan, ShardedStream,
-    MAX_TASKS_PER_THREAD, MERGE_STRATEGY, OVERSPLIT,
+    shard_strategy, ShardReport, ShardStats, MAX_TASKS_PER_THREAD, MERGE_STRATEGY, OVERSPLIT,
 };
-pub use stream::TupleStream;
 pub use triangle::triangle_join;

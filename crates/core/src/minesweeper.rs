@@ -13,19 +13,19 @@
 //! elsewhere (Theorem 3.2 charges each iteration to a certificate
 //! comparison or an output tuple).
 //!
-//! The probe loop itself lives in [`crate::stream`] as the resumable
-//! [`TupleStream`] state machine; [`minesweeper_join`] is the
-//! drain-everything wrapper around it. Per DESIGN.md, branches whose
+//! The probe loop itself lives in [`crate::stream`] as a resumable state
+//! machine; [`minesweeper_join`] is the drain-everything wrapper around
+//! it. Per DESIGN.md, branches whose
 //! bracketing coordinate is out of range are skipped (their index tuples
 //! are undefined), and the `ℓ`/`h` branches are deduplicated on exact hits
 //! — the duplicate `FindGap` calls of the pseudocode would return identical
 //! constraints.
 
 use minesweeper_cds::ProbeMode;
-use minesweeper_storage::{Database, ExecStats, Tuple};
+use minesweeper_storage::{Database, ExecStats, ShardSpec, Tuple};
 
 use crate::query::{Query, QueryError};
-use crate::stream::{DbHandle, TupleStream};
+use crate::stream::{ProbeCtx, ShardProbe};
 
 // The exploration engine is shared with the specialized joins
 // (`triangle_join`) and re-exported for them from the stream module.
@@ -46,8 +46,8 @@ pub struct JoinResult {
 /// Use [`ProbeMode::Chain`] when the GAO is a nested elimination order
 /// (β-acyclic queries, Theorem 2.7) and [`ProbeMode::General`] otherwise
 /// (Theorem 5.1); [`crate::choose_gao`] picks this automatically — or use
-/// [`crate::plan()`] / [`crate::Plan::stream`] for the planned, lazily
-/// streaming form of the same loop.
+/// [`crate::plan()`] / [`crate::PreparedExec::open`] for the planned,
+/// lazily streaming form of the same loop.
 ///
 /// ```
 /// use minesweeper_cds::ProbeMode;
@@ -67,11 +67,17 @@ pub fn minesweeper_join(
     mode: ProbeMode,
 ) -> Result<JoinResult, QueryError> {
     query.validate(db)?;
-    let mut stream = TupleStream::new(DbHandle::Borrowed(db), query.clone(), mode, None);
-    let tuples: Vec<Tuple> = stream.by_ref().collect();
+    let ctx = ProbeCtx {
+        db,
+        query,
+        mode,
+        inv: None,
+    };
+    let mut probe = ShardProbe::open(&ctx, ShardSpec::unbounded(), &[], usize::MAX, None);
+    let tuples: Vec<Tuple> = std::iter::from_fn(|| probe.next()).collect();
     Ok(JoinResult {
         tuples,
-        stats: stream.stats(),
+        stats: probe.stats(),
     })
 }
 

@@ -6,24 +6,17 @@
 //! a minimum elimination width order — Theorem 5.1), the probe mode that
 //! order supports, and the column permutation needed to re-index the stored
 //! relations when the chosen GAO differs from the identity. The resulting
-//! [`Plan`] is cheap to build, inspectable ([`Plan::explain`] /
-//! [`Plan::explain_plan`]), and executable any number of times against a
-//! database:
-//!
-//! * [`Plan::stream`] — the lazy [`TupleStream`] executor (pull tuples one
-//!   at a time, stop early, read stats mid-flight);
-//! * [`Plan::execute`] — materialize everything, sorted in the original
-//!   attribute numbering;
-//! * [`Plan::prepare`] — bind to a database once (including any re-index
-//!   build) and get a [`PreparedPlan`] whose `stream`/`execute` pay only
-//!   probe work on every call;
-//! * [`Plan::prepare_exec`] — the *owned* variant of the same bind: a
-//!   [`PreparedExec`] holds the (at most one) re-indexed database itself,
-//!   so an engine can cache it next to its catalog and replay executions
-//!   with zero planning or re-indexing work.
+//! [`Plan`] is cheap to build and inspectable ([`Plan::explain`] /
+//! [`Plan::explain_plan`]). [`Plan::prepare_exec`] binds it to a database
+//! — the (at most one) re-index build happens there — and the returned
+//! [`PreparedExec`] owns that re-indexed copy, so it can sit in a cache
+//! next to a catalog and be run any number of times through the one
+//! execution path, [`PreparedExec::open`] (see [`mod@crate::execute`]).
+//! [`Plan::execute`] is the bind-and-drain shorthand.
 //!
 //! ```
-//! use minesweeper_core::{plan, Query};
+//! use std::sync::Arc;
+//! use minesweeper_core::{plan, Query, Run};
 //! use minesweeper_storage::{builder, Database};
 //!
 //! let mut db = Database::new();
@@ -35,25 +28,26 @@
 //! // β-acyclic path query (re-indexing if it differs from the identity) …
 //! let p = plan(&db, &q).unwrap();
 //! assert!(p.explain().contains("chain"));
-//! // … stream with early termination …
-//! let first: Vec<_> = p.stream(&db).unwrap().take(1).collect();
+//! // … bind once, then stream with early termination …
+//! let db = Arc::new(db);
+//! let exec = p.prepare_exec(&db).unwrap();
+//! let first: Vec<_> = exec.open(&db, &Run::default()).take(1).collect();
 //! assert_eq!(first, vec![vec![1, 10, 5]]);
 //! // … or materialize everything.
-//! let exec = p.execute(&db).unwrap();
-//! assert_eq!(exec.result.tuples, vec![vec![1, 10, 5], vec![2, 20, 9]]);
+//! let all = exec.execute(&db, &Run::default());
+//! assert_eq!(all.result.tuples, vec![vec![1, 10, 5], vec![2, 20, 9]]);
 //! ```
 
 use std::sync::Arc;
 
 use minesweeper_cds::ProbeMode;
-use minesweeper_storage::{Database, ShardSpec, Tuple, Val};
+use minesweeper_storage::{Database, Val};
 
 use crate::execute::Execution;
 use crate::explain::{ExplainAtom, ExplainPlan};
 use crate::gao::{choose_gao, reindex_for_gao, GaoChoice};
-use crate::minesweeper::JoinResult;
 use crate::query::{Query, QueryError};
-use crate::stream::{DbHandle, TupleStream};
+use crate::stream::ProbeCtx;
 
 /// Exhaustive-treewidth search limit handed to [`choose_gao`]; larger
 /// queries fall back to the min-fill heuristic.
@@ -124,22 +118,14 @@ impl Plan {
 
     /// Binds the plan to a database: validation plus the (at most one)
     /// re-index build happen here, so every subsequent
-    /// [`PreparedPlan::stream`] / [`PreparedPlan::execute`] call pays only
-    /// probe work. This is the execute-many half of the plan-once split —
-    /// use it whenever a plan will run more than once, or when
-    /// `stream().take(k)` must not pay a re-index on a non-identity GAO.
-    pub fn prepare<'db>(&self, db: &'db Database) -> Result<PreparedPlan<'db>, QueryError> {
-        Ok(PreparedPlan {
-            exec: self.prepare_exec(db)?,
-            db,
-        })
-    }
-
-    /// The owned form of [`Plan::prepare`]: the returned [`PreparedExec`]
-    /// carries the re-indexed database (when the GAO demanded one) inside
-    /// itself and borrows nothing, so it can be stored — e.g. in an
-    /// engine's statement cache — and bound to the database again at each
-    /// call ([`PreparedExec::stream`] / [`PreparedExec::execute`]).
+    /// [`PreparedExec::open`] / [`PreparedExec::execute`] pays only probe
+    /// work. The returned [`PreparedExec`] carries the re-indexed database
+    /// (when the GAO demanded one) inside itself and borrows nothing, so
+    /// it can be stored — e.g. in an engine's statement cache — and run
+    /// against the database again at each call.
+    ///
+    /// `db` is re-validated so a plan cannot silently run against a
+    /// database with different arities than the one it was built for.
     pub fn prepare_exec(&self, db: &Database) -> Result<PreparedExec, QueryError> {
         self.query.validate(db)?;
         Ok(match &self.inv {
@@ -161,65 +147,17 @@ impl Plan {
         })
     }
 
-    /// Opens a lazy [`TupleStream`] over `db`.
-    ///
-    /// Tuples are yielded *as they are certified* — lexicographically in
-    /// the GAO, with values translated back to the original attribute
-    /// numbering — so `stream.take(k)` pays only the probe work needed for
-    /// the first `k` tuples *plus*, when the plan's GAO is not the
-    /// identity, one re-index of the stored relations (owned by the
-    /// stream). Amortize that re-index across runs with [`Plan::prepare`].
-    ///
-    /// `db` is re-validated so a plan cannot silently run against a
-    /// database with different arities than the one it was built for.
-    pub fn stream<'db>(&self, db: &'db Database) -> Result<TupleStream<'db>, QueryError> {
-        self.query.validate(db)?;
-        match &self.inv {
-            None => Ok(TupleStream::new(
-                DbHandle::Borrowed(db),
-                self.query.clone(),
-                self.gao.mode,
-                None,
-            )),
-            Some(inv) => {
-                let (db2, q2) = reindex_for_gao(db, &self.query, &self.gao.order)?;
-                Ok(TupleStream::new(
-                    DbHandle::Owned(Box::new(db2)),
-                    q2,
-                    self.gao.mode,
-                    Some(inv.clone()),
-                ))
-            }
-        }
-    }
-
-    /// Runs the plan to completion.
+    /// Binds and runs the plan to completion on the calling thread —
+    /// shorthand for [`Plan::prepare_exec`] + [`PreparedExec::execute`]
+    /// with the default [`crate::Run`], for callers holding a plain
+    /// `&Database`.
     ///
     /// The result's tuples are **sorted lexicographically in the original
     /// attribute numbering** regardless of the GAO the plan chose (the
     /// identity-GAO probe order already is that order; re-indexed runs are
     /// sorted after translation).
     pub fn execute(&self, db: &Database) -> Result<Execution, QueryError> {
-        Ok(self.prepare(db)?.execute())
-    }
-
-    /// Runs the plan to completion on up to `threads` worker threads by
-    /// sharding the first GAO attribute's domain — shorthand for
-    /// [`Plan::sharded`] + [`crate::ShardedPlan::execute`]. Output is
-    /// byte-identical to [`Plan::execute`]; see [`crate::ShardedPlan`] for
-    /// the sharding strategy and per-shard statistics.
-    pub fn execute_parallel(
-        &self,
-        db: &Database,
-        threads: usize,
-    ) -> Result<crate::ShardedExecution, QueryError> {
-        self.clone().sharded(threads).execute(db)
-    }
-
-    /// Wraps the plan for parallel execution on up to `threads` workers
-    /// (see [`crate::ShardedPlan`]).
-    pub fn sharded(self, threads: usize) -> crate::ShardedPlan {
-        crate::ShardedPlan::new(self, threads)
+        Ok(self.prepare_exec(db)?.execute_in_thread(db))
     }
 
     /// The structured form of every planning decision — serialize with
@@ -261,9 +199,9 @@ impl Plan {
 
 /// A plan bound to a database with the re-index work already done and
 /// **owned** (see [`Plan::prepare_exec`]): no borrow of the planning-time
-/// database remains, so the value can live in caches. Every
-/// [`PreparedExec::stream`] / [`PreparedExec::execute`] call pays probe
-/// work only.
+/// database remains, so the value can live in caches. It is run through
+/// [`PreparedExec::open`] (or its drain, [`PreparedExec::execute`]), which
+/// pay probe work only.
 #[derive(Debug, Clone)]
 pub struct PreparedExec {
     gao: GaoChoice,
@@ -289,33 +227,17 @@ impl PreparedExec {
         self.reindexed.is_some()
     }
 
-    /// The database the probe loop reads: the cached re-indexed copy when
-    /// one was built, otherwise the caller's `db`.
-    pub(crate) fn db_for<'a>(&'a self, db: &'a Database) -> &'a Database {
-        match &self.reindexed {
-            Some(b) => b,
-            None => db,
+    /// What a probe loop of this execution reads: the cached re-indexed
+    /// database when one was built (otherwise the caller's `db`), the
+    /// execution-side query, the probe mode, and the original-numbering
+    /// translation.
+    pub(crate) fn ctx<'a>(&'a self, db: &'a Database) -> ProbeCtx<'a> {
+        ProbeCtx {
+            db: self.reindexed.as_deref().unwrap_or(db),
+            query: &self.exec_query,
+            mode: self.gao.mode,
+            inv: self.inv.as_deref(),
         }
-    }
-
-    /// The shared form of [`PreparedExec::db_for`]: an owning handle to
-    /// the execution database, for detached parallel-stream workers.
-    pub(crate) fn shared_db(&self, db: &Arc<Database>) -> Arc<Database> {
-        match &self.reindexed {
-            Some(a) => Arc::clone(a),
-            None => Arc::clone(db),
-        }
-    }
-
-    /// The execution-side query (re-indexed numbering when applicable).
-    pub(crate) fn exec_query(&self) -> &Query {
-        &self.exec_query
-    }
-
-    /// `inv[a]` = execution column of original attribute `a`, when the
-    /// GAO is not the identity.
-    pub(crate) fn inv(&self) -> Option<&[usize]> {
-        self.inv.as_deref()
     }
 
     /// Translates equality seeds given in the *original* attribute
@@ -334,174 +256,16 @@ impl PreparedExec {
             })
             .collect()
     }
-
-    /// Opens a lazy [`TupleStream`]; only probe work is paid here. `db`
-    /// must be the database the plan was prepared against (it is ignored
-    /// when the execution re-indexed).
-    pub fn stream<'a>(&'a self, db: &'a Database) -> TupleStream<'a> {
-        self.stream_seeded(db, &[])
-    }
-
-    /// [`PreparedExec::stream`] with equality constraints pre-seeded into
-    /// the probe loop's CDS: each `(attr, value)` pair — `attr` in the
-    /// **original** numbering — pins that attribute to the constant, so
-    /// the loop only certifies tuples matching every seed. This is how an
-    /// engine front door evaluates query literals: no synthetic
-    /// relations, no re-planning — the constraint store does the
-    /// selection, and the certificate the loop pays is the one for the
-    /// *restricted* output space.
-    pub fn stream_seeded<'a>(
-        &'a self,
-        db: &'a Database,
-        eq_seeds: &[(usize, Val)],
-    ) -> TupleStream<'a> {
-        TupleStream::with_shard(
-            DbHandle::Borrowed(self.db_for(db)),
-            self.exec_query.clone(),
-            self.gao.mode,
-            self.inv.clone(),
-            ShardSpec::unbounded(),
-            &self.exec_seeds(eq_seeds),
-        )
-    }
-
-    /// Runs to completion with the same sorted-output guarantee as
-    /// [`Plan::execute`].
-    pub fn execute(&self, db: &Database) -> Execution {
-        self.execute_seeded(db, &[])
-    }
-
-    /// [`PreparedExec::execute`] under equality seeds (see
-    /// [`PreparedExec::stream_seeded`]).
-    pub fn execute_seeded(&self, db: &Database, eq_seeds: &[(usize, Val)]) -> Execution {
-        let mut stream = self.stream_seeded(db, eq_seeds);
-        let mut tuples: Vec<Tuple> = stream.by_ref().collect();
-        if self.inv.is_some() {
-            tuples.sort_unstable();
-        } else {
-            debug_assert!(
-                tuples.windows(2).all(|w| w[0] < w[1]),
-                "identity-GAO probe order must already be lexicographic"
-            );
-        }
-        Execution {
-            result: JoinResult {
-                tuples,
-                stats: stream.stats(),
-            },
-            gao: self.gao.clone(),
-        }
-    }
-
-    /// Runs across up to `threads` shard workers (see
-    /// [`crate::ShardedPlan`]), optionally stopping after `limit` tuples:
-    /// the global-order merge cancels queued and in-flight shards once
-    /// the cap (plus a one-tuple truncation probe) is reached, so memory
-    /// stays bounded at `O(tasks × channel capacity + limit)` and the
-    /// suffix's probe work is skipped. The `limit` tuples are the serial
-    /// stream's exact first `limit` under any GAO (see
-    /// [`crate::ShardedPlan::execute_limited`]).
-    pub fn execute_parallel(
-        &self,
-        db: &Database,
-        threads: usize,
-        limit: Option<usize>,
-    ) -> crate::ShardedExecution {
-        self.execute_parallel_seeded(db, threads, limit, &[])
-    }
-
-    /// [`PreparedExec::execute_parallel`] under equality seeds (see
-    /// [`PreparedExec::stream_seeded`]); every shard's probe loop gets
-    /// the same seed constraints on top of its interval bounds.
-    pub fn execute_parallel_seeded(
-        &self,
-        db: &Database,
-        threads: usize,
-        limit: Option<usize>,
-        eq_seeds: &[(usize, Val)],
-    ) -> crate::ShardedExecution {
-        crate::sharded::execute_prepared(self, db, threads, limit, &self.exec_seeds(eq_seeds))
-    }
-
-    /// Opens an incremental parallel [`crate::ShardedStream`] over up to
-    /// `threads` background workers. Unlike
-    /// [`PreparedExec::execute_parallel`] nothing is materialized up
-    /// front: tuples are yielded as shard channels feed the global-order
-    /// heap merge, byte-identical to the serial stream's sequence under
-    /// any GAO, and dropping (or [`crate::ShardedStream::finish`]ing)
-    /// the stream cancels the remaining work. With `limit = Some(k)` the stream yields at most
-    /// `k` tuples (each shard is also capped at `k`, plus one
-    /// truncation-evidence tuple that
-    /// [`crate::ShardedStream::truncated`] consumes).
-    pub fn stream_parallel(
-        &self,
-        db: &Arc<Database>,
-        threads: usize,
-        limit: Option<usize>,
-    ) -> crate::ShardedStream {
-        self.stream_parallel_seeded(db, threads, limit, &[])
-    }
-
-    /// [`PreparedExec::stream_parallel`] under equality seeds (see
-    /// [`PreparedExec::stream_seeded`]).
-    pub fn stream_parallel_seeded(
-        &self,
-        db: &Arc<Database>,
-        threads: usize,
-        limit: Option<usize>,
-        eq_seeds: &[(usize, Val)],
-    ) -> crate::ShardedStream {
-        crate::sharded::open_stream(self, db, threads, limit, &self.exec_seeds(eq_seeds))
-    }
-
-    /// The shard tasks a parallel run with `threads` workers would use
-    /// against `db` — what an engine's explain inspects to report the
-    /// shard strategy (see [`crate::shard_strategy`]).
-    pub fn shard_specs(&self, db: &Database, threads: usize) -> Vec<ShardSpec> {
-        crate::sharded::compute_shard_specs(self, db, threads)
-    }
-}
-
-/// A [`Plan`] bound to a borrowed database (see [`Plan::prepare`]): any
-/// re-indexing is already done, so [`PreparedPlan::stream`] and
-/// [`PreparedPlan::execute`] start probing immediately, however many times
-/// they are called. For a cacheable, non-borrowing variant see
-/// [`Plan::prepare_exec`].
-pub struct PreparedPlan<'db> {
-    exec: PreparedExec,
-    db: &'db Database,
-}
-
-impl PreparedPlan<'_> {
-    /// The bound execution state (shared with [`Plan::prepare_exec`]).
-    pub fn exec(&self) -> &PreparedExec {
-        &self.exec
-    }
-
-    /// The GAO this prepared plan executes under.
-    pub fn gao(&self) -> &GaoChoice {
-        self.exec.gao()
-    }
-
-    /// Opens a lazy [`TupleStream`]; only probe work is paid here.
-    pub fn stream(&self) -> TupleStream<'_> {
-        self.exec.stream(self.db)
-    }
-
-    /// Runs to completion with the same sorted-output guarantee as
-    /// [`Plan::execute`].
-    pub fn execute(&self) -> Execution {
-        self.exec.execute(self.db)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute::Run;
     use crate::naive::naive_join;
-    use minesweeper_storage::{builder, RelationBuilder};
+    use minesweeper_storage::{builder, RelationBuilder, Tuple};
 
-    fn b7_db_query() -> (Database, Query) {
+    fn b7_db_query() -> (Arc<Database>, Query) {
         // Example B.7's query R(A,B,C) ⋈ S(A,C) ⋈ T(B,C): the identity is
         // not a NEO, so the plan must re-index.
         let mut db = Database::new();
@@ -521,7 +285,7 @@ mod tests {
             .atom(r, &[0, 1, 2])
             .atom(s, &[0, 2])
             .atom(t, &[1, 2]);
-        (db, q)
+        (Arc::new(db), q)
     }
 
     #[test]
@@ -547,19 +311,20 @@ mod tests {
     }
 
     #[test]
-    fn prepared_plan_reindexes_once_and_streams_many_times() {
+    fn prepared_exec_reindexes_once_and_streams_many_times() {
         let (db, q) = b7_db_query();
         let p = plan(&db, &q).unwrap();
         assert!(p.is_reindexed());
-        // One prepare = one re-index; every stream/execute after that is
+        // One prepare = one re-index; every open/execute after that is
         // probe work only.
-        let prepared = p.prepare(&db).unwrap();
-        let take_one: Vec<Tuple> = prepared.stream().take(1).collect();
+        let prepared = p.prepare_exec(&db).unwrap();
+        let run = Run::default();
+        let take_one: Vec<Tuple> = prepared.open(&db, &run).take(1).collect();
         assert_eq!(take_one.len(), 1);
-        let s1: Vec<Tuple> = prepared.stream().collect();
-        let s2: Vec<Tuple> = prepared.stream().collect();
+        let s1: Vec<Tuple> = prepared.open(&db, &run).collect();
+        let s2: Vec<Tuple> = prepared.open(&db, &run).collect();
         assert_eq!(s1, s2);
-        let exec = prepared.execute();
+        let exec = prepared.execute(&db, &run);
         assert_eq!(exec.result.tuples, naive_join(&db, &q).unwrap());
         assert_eq!(prepared.gao(), p.gao());
     }
@@ -573,11 +338,11 @@ mod tests {
         assert_eq!(exec.gao(), p.gao());
         // The exec can outlive the plan and be bound repeatedly.
         drop(p);
-        let a = exec.execute(&db);
-        let b = exec.execute(&db);
+        let a = exec.execute(&db, &Run::default());
+        let b = exec.execute(&db, &Run::default());
         assert_eq!(a.result.tuples, b.result.tuples);
         assert_eq!(a.result.tuples, naive_join(&db, &q).unwrap());
-        let streamed: Vec<Tuple> = exec.stream(&db).take(1).collect();
+        let streamed: Vec<Tuple> = exec.open(&db, &Run::default()).take(1).collect();
         assert_eq!(streamed.len(), 1);
     }
 
@@ -585,7 +350,8 @@ mod tests {
     fn stream_translates_to_original_numbering() {
         let (db, q) = b7_db_query();
         let p = plan(&db, &q).unwrap();
-        let mut got: Vec<Tuple> = p.stream(&db).unwrap().collect();
+        let exec = p.prepare_exec(&db).unwrap();
+        let mut got: Vec<Tuple> = exec.open(&db, &Run::default()).collect();
         got.sort();
         assert_eq!(got, naive_join(&db, &q).unwrap());
     }
@@ -601,12 +367,14 @@ mod tests {
         let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
         let p = plan(&db, &q).unwrap();
         assert!(!p.is_reindexed());
-        let got: Vec<Tuple> = p.stream(&db).unwrap().collect();
+        let db = Arc::new(db);
+        let exec = p.prepare_exec(&db).unwrap();
+        let got: Vec<Tuple> = exec.open(&db, &Run::default()).collect();
         assert_eq!(got, naive_join(&db, &q).unwrap(), "already lex-sorted");
     }
 
     #[test]
-    fn stream_revalidates_against_foreign_database() {
+    fn bind_revalidates_against_foreign_database() {
         let mut db = Database::new();
         let r = db.add(builder::unary("R", [1, 2])).unwrap();
         let q = Query::new(1).atom(r, &[0]);
@@ -614,7 +382,8 @@ mod tests {
         // A database where the planned RelId has a different arity.
         let mut other = Database::new();
         other.add(builder::binary("R2", [(1, 2)])).unwrap();
-        assert!(p.stream(&other).is_err());
+        assert!(p.prepare_exec(&other).is_err());
+        assert!(p.execute(&other).is_err());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Sharded parallel execution: nested splits, work stealing, and an
-//! incremental parallel stream.
+//! Sharded parallel execution: nested splits, work stealing, and a
+//! global-order merge.
 //!
 //! The probe loop of Algorithm 2 is embarrassingly parallel in the first
 //! GAO attribute: a constraint discovered while probing inside one
 //! interval of that attribute's domain can never exclude a point of a
-//! disjoint interval, so the loops share no state. A [`ShardedPlan`]
-//! exploits this:
+//! disjoint interval, so the loops share no state. The parallel arm of
+//! [`crate::ExecStream`] exploits this:
 //!
 //! 1. **Partition** — the domain is split into contiguous
 //!    [`ShardSpec`]s: equi-depth over the *primary* relation (the
@@ -21,18 +21,16 @@
 //!    ([`scoped_pool::StealQueue`]): each worker pops its own share
 //!    front-first and steals from the back of busy peers, so shards
 //!    whose certificates turn out unbalanced no longer gate wall-clock
-//!    on the slowest worker. Each task runs an independent
-//!    [`crate::TupleStream`] with its own `ConstraintTree`, its own
+//!    on the slowest worker. Each task runs an independent probe loop
+//!    with its own `ConstraintTree`, its own
 //!    [`minesweeper_storage::GapCursor`]s, and its own [`ExecStats`];
-//!    the confinement is the pre-seeded constraint pairs of
-//!    [`crate::TupleStream`]'s shard constructor — depth-0 intervals for
-//!    the first attribute, all-star depth-1 intervals for a nested
-//!    shard's second attribute.
+//!    the confinement is a handful of pre-seeded constraints — depth-0
+//!    intervals for the first attribute, all-star depth-1 intervals for a
+//!    nested shard's second attribute.
 //! 3. **Merge** — every worker translates its certified tuples to the
-//!    caller's attribute numbering *inside the shard task* (the
-//!    [`crate::TupleStream`] does it on the fly), so the per-task
-//!    channels carry directly comparable tuples, and the consumer runs a
-//!    **global-order k-way merge**: a binary heap keyed by
+//!    caller's attribute numbering *inside the shard task*, so the
+//!    per-task channels carry directly comparable tuples, and the
+//!    consumer runs a **global-order k-way merge**: a binary heap keyed by
 //!    [`minesweeper_storage::GaoOrder`] — the GAO-lexicographic
 //!    comparison of translated tuples — with one *frontier watermark*
 //!    rule deciding when the heap's minimum is safe to emit (a buffered
@@ -41,25 +39,23 @@
 //!    [`ShardSpec::lower_corner`] cannot be out-ordered by anything that
 //!    shard will produce, because spec slices are disjoint in the
 //!    first-two-GAO-coordinate plane). The merged sequence equals the
-//!    serial stream's **global attribute order** exactly — the output
-//!    contract of the paper's §2 — for every consumer: the incremental
-//!    [`ShardedStream`], [`ShardedPlan::execute_limited`], and the
-//!    unlimited [`ShardedPlan::execute`] (which sorts the merged
-//!    sequence into the original-numbering order when the plan
-//!    re-indexed, exactly like the serial path, and is therefore
-//!    **byte-identical** to [`crate::Plan::execute`]). An unlimited
-//!    `execute` still lets every worker materialize its shard
-//!    concurrently (one batch per task — no worker ever stalls on the
-//!    in-order consumer); limited and streaming runs send per-tuple
-//!    batches through bounded channels, giving the merge
-//!    `O(tasks × channel capacity)` memory, and the cancellation flag
-//!    fires as soon as the heap has emitted the cap (plus a one-tuple
-//!    truncation probe), so in-flight and queued shards stop promptly.
+//!    in-thread stream's **global attribute order** exactly — the output
+//!    contract of the paper's §2 — so a `limit` yields the in-thread
+//!    stream's exact prefix under any GAO.
+//!
+//! There is one worker pipeline. How a worker hands tuples over is an
+//! internal decision: a caller that drains an unlimited run to completion
+//! ([`crate::PreparedExec::execute`]) gets one batch per shard — every
+//! worker materializes its shard concurrently and none ever stalls on the
+//! in-order consumer; every other run sends per-tuple batches through
+//! bounded channels, giving the merge `O(tasks × channel capacity)` memory,
+//! and the cancellation flag fires as soon as the consumer stops pulling,
+//! so in-flight and queued shards stop promptly.
 //!
 //! Statistics: per-shard counters are kept in [`ShardStats`] and their
 //! sum is the aggregate [`ExecStats`] — in particular, on an uncancelled
 //! run `outputs` sums exactly to the tuple count. Total probe work
-//! slightly exceeds the serial run's because each shard pays its own
+//! slightly exceeds the in-thread run's because each shard pays its own
 //! warm-up probes around the boundaries; that is the usual
 //! parallel-speedup trade, bounded by `O(tasks)` extra probes per
 //! relation.
@@ -69,18 +65,16 @@ use std::collections::BinaryHeap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 
-use minesweeper_cds::ProbeMode;
 use minesweeper_storage::{
     equi_depth_shards, nested_shards, second_level_profile, Database, ExecStats, GaoOrder,
     ShardSpec, Tuple, Val,
 };
 use scoped_pool::StealQueue;
 
-use crate::gao::GaoChoice;
-use crate::minesweeper::JoinResult;
-use crate::plan::{Plan, PreparedExec};
-use crate::query::{Query, QueryError};
-use crate::stream::{DbHandle, TupleStream};
+use crate::execute::Run;
+use crate::plan::PreparedExec;
+use crate::query::Query;
+use crate::stream::{ProbeCtx, ShardProbe};
 
 /// Shard tasks created per worker thread (beyond one worker): the deque
 /// depth that makes work stealing effective. More tasks smooth unbalanced
@@ -103,17 +97,6 @@ const CHANNEL_CAP: usize = 64;
 /// a k-way binary heap over per-shard streams, keyed by the
 /// GAO-lexicographic comparison of worker-translated tuples.
 pub const MERGE_STRATEGY: &str = "global-order-heap";
-
-/// A [`Plan`] wrapped for parallel execution on up to `threads` workers
-/// (see the module docs for the sharding strategy). Build with
-/// [`Plan::sharded`] or [`ShardedPlan::new`]; run with
-/// [`ShardedPlan::execute`], [`ShardedPlan::execute_limited`], or
-/// [`ShardedPlan::stream`].
-#[derive(Debug, Clone)]
-pub struct ShardedPlan {
-    plan: Plan,
-    threads: usize,
-}
 
 /// One shard task's slice of the output space and the execution counters
 /// its probe loop accumulated.
@@ -147,218 +130,77 @@ impl ShardStats {
     }
 }
 
-/// The outcome of a sharded run: the same sorted [`JoinResult`] a serial
-/// [`crate::Plan::execute`] produces (aggregate statistics inside), plus
-/// the per-shard breakdown.
-#[derive(Debug, Clone)]
-pub struct ShardedExecution {
-    /// Output tuples (sorted in the original attribute numbering) and the
-    /// aggregate statistics summed over all shards.
-    pub result: JoinResult,
-    /// The chosen GAO, probe mode, and elimination width.
-    pub gao: GaoChoice,
-    /// Per-shard slices and counters, in output-space order. Shards the
-    /// limit cancelled before they started are present with zero
-    /// counters (`completed == false`), so the list always covers the
-    /// whole domain and the counter sum still reconciles.
-    pub shards: Vec<ShardStats>,
-    /// Number of shard tasks executed by a worker other than their
-    /// round-robin owner — how much the steal queue rebalanced.
-    pub steals: u64,
-    /// True only when a [`ShardedPlan::execute_limited`] cap actually cut
-    /// tuples. A result that merely *equals* the limit is not truncated.
-    pub truncated: bool,
-}
-
-/// Final accounting of an incremental parallel stream (see
-/// [`ShardedStream::finish`]).
+/// Final accounting of a run (see [`crate::ExecStream::finish`]).
 #[derive(Debug, Clone)]
 pub struct ShardReport {
-    /// Aggregate counters summed over every shard's probe loop.
+    /// Aggregate counters: the in-thread probe loop's, or the sum over
+    /// every shard's.
     pub stats: ExecStats,
-    /// Per-shard slices and counters, in output-space order (cancelled
-    /// shards report zero counters).
-    pub shards: Vec<ShardStats>,
-    /// Number of stolen shard tasks.
-    pub steals: u64,
+    /// Per-shard slices and counters, in output-space order, when the run
+    /// asked for a worker count (`None` otherwise). Shards cancelled
+    /// before they started are present with zero counters
+    /// (`completed == false`), so the list always covers the whole domain
+    /// and the counter sum still reconciles.
+    pub shards: Option<Vec<ShardStats>>,
 }
 
-impl ShardedPlan {
-    /// Wraps `plan` for execution on up to `threads` workers (`0` is
-    /// treated as `1`; the shard-task count actually used is
-    /// data-dependent, between 1 and `threads ×`
-    /// [`MAX_TASKS_PER_THREAD`]).
-    pub fn new(plan: Plan, threads: usize) -> Self {
-        ShardedPlan {
-            plan,
-            threads: threads.max(1),
+impl PreparedExec {
+    /// The shard tasks a run with `threads` workers uses against `db` (also
+    /// what an engine's explain inspects, see [`shard_strategy`]): picks
+    /// the primary relation (largest root fanout among atoms indexed on
+    /// GAO position 0 — query validation guarantees at least one), splits
+    /// its first column equi-depth into up to `threads ×` [`OVERSPLIT`]
+    /// tasks, and nested-splits any isolated heavy value on the second
+    /// GAO attribute.
+    pub fn shard_specs(&self, db: &Database, threads: usize) -> Vec<ShardSpec> {
+        let ProbeCtx { db, query, .. } = self.ctx(db);
+        let primary = query
+            .atoms
+            .iter()
+            .filter(|a| a.attrs.first() == Some(&0))
+            .map(|a| db.relation(a.rel))
+            .max_by_key(|r| (r.root_fanout(), r.len()));
+        let Some(rel) = primary.filter(|_| threads > 1) else {
+            return vec![ShardSpec::unbounded()];
+        };
+        let values = rel.first_column();
+        let weights = rel.first_level_tuple_counts();
+        let total: u64 = weights.iter().map(|&w| w as u64).sum();
+        // Beyond two tasks per tuple nothing below can change — every value
+        // already counts as heavy and the per-task depth is already 1 — so an
+        // absurd `threads` is clamped there, which keeps the arithmetic (here
+        // and in `equi_depth_shards`) far from overflow.
+        let tasks = threads
+            .saturating_mul(OVERSPLIT)
+            .min(usize::try_from(total.saturating_mul(2).max(2)).unwrap_or(usize::MAX));
+        let bounds = equi_depth_shards(values, &weights, tasks);
+        if total == 0 || query.n_attrs < 2 {
+            return bounds.into_iter().map(ShardSpec::plain).collect();
         }
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The serial plan description plus the parallel strategy line.
-    pub fn explain(&self) -> String {
-        format!(
-            "{}\nparallel: up to {} worker(s) over equi-depth shard tasks of GAO attribute 0 \
-             (nested second-attribute splits for heavy runs) on a work-stealing deque, \
-             global-order k-way heap merge",
-            self.plan.explain(),
-            self.threads
-        )
-    }
-
-    /// The shard tasks this plan would use against `db` (equi-depth over
-    /// the primary relation plus nested splits — data-dependent, hence a
-    /// method, not a plan field). Mostly for inspection and tests;
-    /// `execute` computes the same split internally.
-    pub fn shard_specs(&self, db: &Database) -> Result<Vec<ShardSpec>, QueryError> {
-        let prepared = self.plan.prepare_exec(db)?;
-        Ok(compute_shard_specs(&prepared, db, self.threads))
-    }
-
-    /// Runs the plan to completion across the worker pool.
-    ///
-    /// The returned tuples are byte-identical to the serial
-    /// [`crate::Plan::execute`]: sorted lexicographically in the original
-    /// attribute numbering.
-    pub fn execute(&self, db: &Database) -> Result<ShardedExecution, QueryError> {
-        self.execute_limited(db, None)
-    }
-
-    /// [`ShardedPlan::execute`] with a global materialization cap.
-    ///
-    /// With `limit = Some(k)` the global-order merge stops after `k`
-    /// tuples plus a one-tuple truncation probe, then **cancels**:
-    /// queued shards never start and in-flight shards stop at their next
-    /// probe point (a cooperative flag polled inside the loop), so —
-    /// unlike the PR 2 behavior this API replaced — probe work for the
-    /// untaken suffix is not paid once the cap is known to be exceeded.
-    /// Peak memory is `O(tasks × channel capacity + k)` instead of the
-    /// full `Z`. Because the merge emits the serial stream's global
-    /// attribute order exactly, the `k` tuples are the serial stream's
-    /// first `k` under **any** GAO — identity or re-indexed — returned
-    /// sorted in the original numbering, byte-identical to running the
-    /// serial `stream().take(k)` and sorting.
-    pub fn execute_limited(
-        &self,
-        db: &Database,
-        limit: Option<usize>,
-    ) -> Result<ShardedExecution, QueryError> {
-        let prepared = self.plan.prepare_exec(db)?;
-        Ok(execute_prepared(&prepared, db, self.threads, limit, &[]))
-    }
-
-    /// Opens an incremental [`ShardedStream`] over `db`.
-    ///
-    /// The database is taken as an [`Arc`] because the probe work runs on
-    /// detached background workers that must co-own it; the handle clone
-    /// is `O(1)`. See [`ShardedStream`] for the channel pipeline and the
-    /// cancellation contract.
-    pub fn stream(&self, db: &Arc<Database>) -> Result<ShardedStream, QueryError> {
-        let prepared = self.plan.prepare_exec(db)?;
-        Ok(open_stream(&prepared, db, self.threads, None, &[]))
-    }
-}
-
-/// The shared shard → probe → reassemble step behind [`ShardedPlan`] and
-/// [`PreparedExec::execute_parallel`]: runs the already-prepared
-/// execution across the pool and assembles the sorted, optionally
-/// truncated result (see [`ShardedPlan::execute_limited`] for the limit
-/// semantics).
-pub(crate) fn execute_prepared(
-    prepared: &PreparedExec,
-    db: &Database,
-    threads: usize,
-    limit: Option<usize>,
-    eq_seeds: &[(usize, Val)],
-) -> ShardedExecution {
-    let run = run_shards(prepared, db, threads, limit, eq_seeds);
-    let mut agg = ExecStats::new();
-    for s in &run.shards {
-        agg.merge(&s.stats);
-    }
-    // Workers already translated to the original numbering and the merge
-    // delivered the global (GAO) order, so only the serial path's final
-    // sort remains when the plan re-indexed. Under a limit the merged
-    // prefix is the serial stream's exact first-k, so the sorted result
-    // is the serial sorted prefix byte for byte.
-    let mut tuples = run.tuples;
-    if prepared.inv().is_some() {
-        tuples.sort_unstable();
-    }
-    if let Some(k) = limit {
-        tuples.truncate(k);
-    }
-    ShardedExecution {
-        truncated: run.saw_extra,
-        result: JoinResult { tuples, stats: agg },
-        gao: prepared.gao().clone(),
-        shards: run.shards,
-        steals: run.steals,
-    }
-}
-
-/// Picks the primary relation (largest root fanout among atoms indexed on
-/// GAO position 0 — query validation guarantees at least one), splits its
-/// first column equi-depth into up to `threads ×` [`OVERSPLIT`] tasks,
-/// and nested-splits any isolated heavy value on the second GAO
-/// attribute.
-pub(crate) fn compute_shard_specs(
-    prepared: &PreparedExec,
-    db: &Database,
-    threads: usize,
-) -> Vec<ShardSpec> {
-    let db = prepared.db_for(db);
-    let threads = threads.max(1);
-    let query = prepared.exec_query();
-    let primary = query
-        .atoms
-        .iter()
-        .filter(|a| a.attrs.first() == Some(&0))
-        .map(|a| db.relation(a.rel))
-        .max_by_key(|r| (r.root_fanout(), r.len()));
-    let Some(rel) = primary else {
-        return vec![ShardSpec::unbounded()];
-    };
-    let tasks = if threads == 1 { 1 } else { threads * OVERSPLIT };
-    let values = rel.first_column();
-    let weights = rel.first_level_tuple_counts();
-    let bounds = equi_depth_shards(values, &weights, tasks);
-    let total: u64 = weights.iter().map(|&w| w as u64).sum();
-    if threads == 1 || total == 0 || query.n_attrs < 2 {
-        return bounds.into_iter().map(ShardSpec::plain).collect();
-    }
-    // The same per-task depth the equi-depth pass aimed for; a
-    // single-value shard holding at least twice that is worth splitting
-    // again on the second attribute.
-    let target = (total / tasks as u64).max(1);
-    let mut specs = Vec::with_capacity(bounds.len());
-    for b in bounds {
-        let heavy = single_value_in(values, &weights, b).filter(|&(_, w)| w as u64 >= 2 * target);
-        match heavy {
-            Some((v, w)) => {
-                let sub_k = (w as u64).div_ceil(target).min(tasks as u64) as usize;
-                let (child_vals, child_weights) = second_attr_profile(query, db, v);
-                if child_vals.len() >= 2 && sub_k >= 2 {
-                    specs.extend(nested_shards(b, &child_vals, &child_weights, sub_k));
-                } else {
-                    specs.push(ShardSpec::plain(b));
+        // The same per-task depth the equi-depth pass aimed for; a
+        // single-value shard holding at least twice that is worth splitting
+        // again on the second attribute.
+        let target = (total / tasks as u64).max(1);
+        let mut specs = Vec::with_capacity(bounds.len());
+        for b in bounds {
+            let heavy =
+                single_value_in(values, &weights, b).filter(|&(_, w)| w as u64 >= 2 * target);
+            match heavy {
+                Some((v, w)) => {
+                    let sub_k = (w as u64).div_ceil(target).min(tasks as u64) as usize;
+                    let (child_vals, child_weights) = second_attr_profile(query, db, v);
+                    if child_vals.len() >= 2 && sub_k >= 2 {
+                        specs.extend(nested_shards(b, &child_vals, &child_weights, sub_k));
+                    } else {
+                        specs.push(ShardSpec::plain(b));
+                    }
                 }
+                None => specs.push(ShardSpec::plain(b)),
             }
-            None => specs.push(ShardSpec::plain(b)),
         }
+        debug_assert!(specs.len() <= threads.saturating_mul(MAX_TASKS_PER_THREAD));
+        specs
     }
-    debug_assert!(specs.len() <= threads * MAX_TASKS_PER_THREAD);
-    specs
 }
 
 /// The single primary-column value covered by `b`, with its weight, if
@@ -407,129 +249,56 @@ fn second_attr_profile(query: &Query, db: &Database, v: Val) -> (Vec<Val>, Vec<u
     }
 }
 
-/// Runs one confined probe loop, handing each certified tuple —
-/// **translated to the caller's attribute numbering inside the worker**,
-/// so the consumer's merge can compare tuples without a post-hoc
-/// translation pass — to `emit`. Stops when the shard is exhausted, when
-/// `emit` returns `false` (the consumer went away), when the `cancel`
-/// flag fires (polled inside the probe loop, so a cancelled shard stops
-/// even if its remaining work would emit nothing), or after `cap` tuples
-/// — in which case the stats are snapshotted first and **one** extra
-/// tuple, if it exists, is still emitted as truncation evidence whose
-/// probe work is excluded from the returned counters. Returns the
-/// counters and whether the loop ran to exhaustion.
-fn probe_shard<F: FnMut(Tuple) -> bool>(
-    ctx: &RunCtx<'_>,
-    spec: ShardSpec,
-    cap: usize,
-    cancel: Option<&Arc<std::sync::atomic::AtomicBool>>,
-    mut emit: F,
-) -> (ExecStats, bool) {
-    let mut stream = TupleStream::with_shard(
-        DbHandle::Borrowed(ctx.db),
-        ctx.query.clone(),
-        ctx.mode,
-        ctx.inv.map(<[usize]>::to_vec),
-        spec,
-        ctx.eq_seeds,
-    );
-    if let Some(flag) = cancel {
-        stream.set_cancel(Arc::clone(flag));
-    }
-    let mut produced = 0usize;
-    loop {
-        if produced == cap {
-            let stats = stream.stats();
-            return match stream.next() {
-                Some(t) => {
-                    let _ = emit(t);
-                    (stats, false)
-                }
-                None => (stats, !stream.is_cancelled()),
-            };
-        }
-        match stream.next() {
-            Some(t) => {
-                produced += 1;
-                if !emit(t) {
-                    return (stream.stats(), false);
-                }
-            }
-            None => return (stream.stats(), !stream.is_cancelled()),
-        }
-    }
-}
-
 /// One shard task on the steal queue: spec index, output-space slice,
 /// and the channel its output batches flow through.
 type ShardTask = (usize, ShardSpec, SyncSender<Vec<Tuple>>);
 
-/// The probe-loop context shared by every task of one sharded run: the
-/// execution database, the execution-side query, the probe mode, the
-/// original-numbering translation (`inv[a]` = execution column of
-/// original attribute `a`, applied inside the worker), the pre-seeded
-/// equality constraints, and the per-shard tuple cap.
-struct RunCtx<'a> {
-    db: &'a Database,
-    query: &'a Query,
-    mode: ProbeMode,
-    inv: Option<&'a [usize]>,
-    eq_seeds: &'a [(usize, Val)],
+/// Everything the workers of one parallel run co-own with its
+/// [`ShardedStream`]: the bound execution and the caller's database, the
+/// pre-seeded equality constraints, the per-shard tuple cap, the task
+/// queue, and the per-task accounting slots.
+struct Pipeline {
+    exec: PreparedExec,
+    db: Arc<Database>,
+    eq_seeds: Vec<(usize, Val)>,
     cap: usize,
+    /// How a worker hands tuples over. False: each tuple as it is
+    /// certified (singleton batches) — the incremental pipeline with
+    /// channel backpressure, wherever early cancellation matters. True:
+    /// the whole shard buffered and sent as one batch at completion —
+    /// full concurrency for unlimited runs drained to completion, no
+    /// worker ever stalls on the in-order consumer.
+    batch_per_shard: bool,
+    queue: StealQueue<ShardTask>,
+    slots: Mutex<Vec<Option<ShardStats>>>,
 }
 
-/// How a worker hands tuples to the consumer.
-#[derive(Clone, Copy, PartialEq)]
-enum EmitMode {
-    /// Send each tuple as it is certified (singleton batches): the
-    /// incremental pipeline with channel backpressure — for limited
-    /// runs and streams, where early cancellation matters.
-    Incremental,
-    /// Buffer the whole shard and send one batch at completion: full
-    /// concurrency for unlimited materializing runs — no worker ever
-    /// stalls on the in-order consumer.
-    Materialize,
-}
-
-/// The worker loop shared by the scoped (`run_shards`) and detached
-/// (`open_stream`) pipelines: pop tasks — own deque front first, then
-/// steals — run each confined probe loop, and record its accounting.
-fn drive_worker(
-    w: usize,
-    queue: &StealQueue<ShardTask>,
-    slots: &Mutex<Vec<Option<ShardStats>>>,
-    ctx: &RunCtx<'_>,
-    emit_mode: EmitMode,
-) {
-    let cancel = queue.cancel_handle();
-    while let Some(((idx, spec, tx), stolen)) = queue.take(w) {
-        let (stats, completed) = match emit_mode {
-            EmitMode::Incremental => probe_shard(ctx, spec, ctx.cap, Some(&cancel), |t| {
-                if tx.send(vec![t]).is_err() {
-                    // The consumer tore the pipeline down: stop queued
-                    // tasks too.
-                    queue.cancel();
-                    false
-                } else {
-                    true
-                }
-            }),
-            EmitMode::Materialize => {
-                let mut buf: Vec<Tuple> = Vec::new();
-                let out = probe_shard(ctx, spec, ctx.cap, Some(&cancel), |t| {
-                    buf.push(t);
-                    true
-                });
-                let _ = tx.send(buf);
-                out
+/// The worker loop: pop tasks — own deque front first, then steals — run
+/// each confined probe loop up to the cap plus one tuple of truncation
+/// evidence, and record its accounting.
+fn drive_worker(w: usize, p: &Pipeline) {
+    let ctx = p.exec.ctx(&p.db);
+    while let Some(((idx, spec, tx), stolen)) = p.queue.take(w) {
+        let cancel = Some(p.queue.cancel_handle());
+        let mut probe = ShardProbe::open(&ctx, spec, &p.eq_seeds, p.cap, cancel);
+        if p.batch_per_shard {
+            // Unlimited, so there is no cap to probe past.
+            let _ = tx.send(std::iter::from_fn(|| probe.next()).collect());
+        } else {
+            let mut connected = true;
+            while connected {
+                let Some(t) = probe.next().or_else(|| probe.evidence()) else {
+                    break;
+                };
+                connected = tx.send(vec![t]).is_ok();
             }
-        };
-        slots.lock().unwrap()[idx] = Some(ShardStats {
-            spec,
-            stats,
-            stolen,
-            completed,
-        });
+            if !connected {
+                // The consumer tore the pipeline down: stop queued tasks
+                // too.
+                p.queue.cancel();
+            }
+        }
+        p.slots.lock().unwrap()[idx] = Some(probe.into_shard_stats(stolen));
     }
 }
 
@@ -728,150 +497,16 @@ impl GlobalOrderMerge {
     }
 }
 
-/// What [`run_shards`] hands back: worker-translated tuples in the
-/// global (GAO-lexicographic) order, the per-shard accounting, and
-/// whether the consumer saw a tuple beyond the cap.
-struct RunOutcome {
-    tuples: Vec<Tuple>,
-    shards: Vec<ShardStats>,
-    steals: u64,
-    saw_extra: bool,
-}
-
-/// The scoped (borrowing) pipeline behind `execute` / `execute_limited`:
-/// shard tasks on a steal queue, one channel per task, and an in-scope
-/// consumer that drains them in spec order. Without a limit, workers
-/// materialize their shards concurrently and send one batch each (no
-/// backpressure, full parallelism); with a limit, workers stream
-/// singleton batches and the consumer stops at the cap (+ one truncation
-/// probe) and cancels the rest.
-fn run_shards(
-    prepared: &PreparedExec,
-    db: &Database,
-    threads: usize,
-    limit: Option<usize>,
-    eq_seeds: &[(usize, Val)],
-) -> RunOutcome {
-    let specs = compute_shard_specs(prepared, db, threads);
-    let cap = limit.unwrap_or(usize::MAX);
-    let ctx = RunCtx {
-        db: prepared.db_for(db),
-        query: prepared.exec_query(),
-        mode: prepared.gao().mode,
-        inv: prepared.inv(),
-        eq_seeds,
-        cap,
-    };
-    if threads <= 1 || specs.len() <= 1 {
-        return run_serial(&ctx, &specs);
-    }
-    let emit_mode = match limit {
-        None => EmitMode::Materialize,
-        Some(_) => EmitMode::Incremental,
-    };
-    let mut rxs: Vec<Receiver<Vec<Tuple>>> = Vec::with_capacity(specs.len());
-    let mut tasks: Vec<ShardTask> = Vec::with_capacity(specs.len());
-    for (i, &spec) in specs.iter().enumerate() {
-        let (tx, rx) = sync_channel::<Vec<Tuple>>(CHANNEL_CAP);
-        tasks.push((i, spec, tx));
-        rxs.push(rx);
-    }
-    let workers = threads.min(specs.len());
-    let queue = StealQueue::new(workers, tasks);
-    let slots: Mutex<Vec<Option<ShardStats>>> = Mutex::new(vec![None; specs.len()]);
-    let order = GaoOrder::new(prepared.gao().order.clone());
-    let mut merge = GlobalOrderMerge::new(rxs, &specs, order);
-    let mut tuples: Vec<Tuple> = Vec::new();
-    let mut saw_extra = false;
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let ctx = &ctx;
-            s.spawn(move || {
-                drive_worker(w, queue, slots, ctx, emit_mode);
-            });
-        }
-        // Consumer (this thread): the global-order heap merge, with the
-        // global cap and a one-tuple truncation probe; cancellation fires
-        // the moment the heap has emitted the cap.
-        while let Some(t) = merge.next() {
-            if tuples.len() == cap {
-                saw_extra = true;
-                break;
-            }
-            tuples.push(t);
-        }
-        queue.cancel();
-        merge.close(); // unblock workers parked on full channels
-    });
-    let shards = specs
-        .iter()
-        .zip(slots.into_inner().unwrap())
-        .map(|(&spec, slot)| slot.unwrap_or_else(|| ShardStats::unrun(spec)))
-        .collect();
-    debug_assert!(
-        GaoOrder::new(prepared.gao().order.clone()).is_strictly_sorted(&tuples),
-        "merged reassembly must be GAO-lexicographic"
-    );
-    RunOutcome {
-        tuples,
-        shards,
-        steals: queue.steals(),
-        saw_extra,
-    }
-}
-
-/// The inline path for one worker or one shard: same cap-and-probe
-/// semantics as the parallel pipeline, without threads or channels.
-fn run_serial(ctx: &RunCtx<'_>, specs: &[ShardSpec]) -> RunOutcome {
-    let mut tuples: Vec<Tuple> = Vec::new();
-    let mut shards: Vec<ShardStats> = Vec::with_capacity(specs.len());
-    let mut saw_extra = false;
-    for &spec in specs {
-        if saw_extra {
-            shards.push(ShardStats::unrun(spec));
-            continue;
-        }
-        let budget = ctx.cap - tuples.len();
-        let mut local = 0usize;
-        let (stats, completed) = probe_shard(ctx, spec, budget, None, |t| {
-            if local == budget {
-                saw_extra = true;
-                return false;
-            }
-            local += 1;
-            tuples.push(t);
-            true
-        });
-        shards.push(ShardStats {
-            spec,
-            stats,
-            stolen: false,
-            completed,
-        });
-    }
-    RunOutcome {
-        tuples,
-        shards,
-        steals: 0,
-        saw_extra,
-    }
-}
-
-/// An incremental, order-preserving parallel tuple stream.
+/// The channel-fed arm of [`crate::ExecStream`]: an incremental,
+/// order-preserving parallel tuple stream.
 ///
-/// Opened by [`ShardedPlan::stream`] or
-/// [`PreparedExec::stream_parallel`]: shard tasks run on detached
-/// background workers (co-owning the database through an [`Arc`]), each
-/// sending its certified tuples — already translated to the caller's
-/// attribute numbering — through a bounded channel, and the iterator
-/// runs the same global-order k-way heap merge as the scoped pipeline
-/// — so tuples arrive **incrementally**, in exactly the serial stream's
-/// global attribute order (byte-identical to
-/// [`crate::Plan::stream`], re-indexed GAO or not), while later shards
-/// probe ahead no further than their channel capacity allows. Memory
-/// therefore stays at `O(tasks × channel capacity)` regardless of `Z`.
+/// Shard tasks run on detached background workers (co-owning the
+/// database through an [`Arc`]), each sending its certified tuples —
+/// already translated to the caller's attribute numbering — through a
+/// bounded channel, and the iterator runs the global-order k-way heap
+/// merge, so tuples arrive in exactly the in-thread stream's global
+/// attribute order (re-indexed GAO or not) while later shards probe ahead
+/// no further than their channel capacity allows.
 ///
 /// Cancellation: dropping the stream cancels the task queue and closes
 /// every channel, so queued shards never start and in-flight shards stop
@@ -879,114 +514,83 @@ fn run_serial(ctx: &RunCtx<'_>, specs: &[ShardSpec]) -> RunOutcome {
 /// loop — a shard whose remaining work would emit nothing still stops
 /// promptly). A consumer that takes `k` tuples and drops the stream pays
 /// nowhere near the full probe work (the contract `msj --threads
-/// --limit` relies on). Call [`ShardedStream::finish`] instead of
-/// dropping to also join the workers and read the final, stable
-/// counters.
+/// --limit` relies on). [`ShardedStream::finish`] also joins the workers
+/// and reads the final, stable counters.
 ///
-/// A `limit` (from [`PreparedExec::stream_parallel`]) is enforced by
-/// the stream itself: the iterator yields at most `limit` tuples — the
-/// exact global-order prefix the heap merge emits — while each shard
-/// task is also capped at `limit` certified tuples plus one
-/// truncation-evidence tuple whose probe work is excluded from the
-/// counters. After the limit is exhausted, [`ShardedStream::truncated`]
-/// probes exactly one tuple further to report whether the result was
-/// cut.
-pub struct ShardedStream {
+/// A `limit` is enforced by the stream itself: the iterator yields at
+/// most `limit` tuples — the exact global-order prefix the heap merge
+/// emits — while each shard task is also capped at `limit` certified
+/// tuples plus one truncation-evidence tuple whose probe work is excluded
+/// from the counters. After the limit is exhausted,
+/// [`ShardedStream::truncated`] pulls exactly one tuple further to report
+/// whether the result was cut.
+pub(crate) struct ShardedStream {
     /// The global-order heap merge over the per-shard channels.
     merge: GlobalOrderMerge,
     /// Tuples the iterator may still yield (the global `limit`).
     remaining: usize,
     specs: Vec<ShardSpec>,
-    queue: Arc<StealQueue<ShardTask>>,
-    slots: Arc<Mutex<Vec<Option<ShardStats>>>>,
+    pipeline: Arc<Pipeline>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Builds the detached-worker pipeline behind [`ShardedStream`].
-pub(crate) fn open_stream(
-    prepared: &PreparedExec,
-    db: &Arc<Database>,
-    threads: usize,
-    limit: Option<usize>,
-    eq_seeds: &[(usize, Val)],
-) -> ShardedStream {
-    let shared = prepared.shared_db(db);
-    let specs = compute_shard_specs(prepared, db, threads);
-    let query = prepared.exec_query().clone();
-    let mode = prepared.gao().mode;
-    let inv = prepared.inv().map(<[usize]>::to_vec);
-    let cap = limit.unwrap_or(usize::MAX);
-    let mut rxs: Vec<Receiver<Vec<Tuple>>> = Vec::with_capacity(specs.len());
-    let mut tasks: Vec<ShardTask> = Vec::with_capacity(specs.len());
-    for (idx, &spec) in specs.iter().enumerate() {
-        let (tx, rx) = sync_channel::<Vec<Tuple>>(CHANNEL_CAP);
-        tasks.push((idx, spec, tx));
-        rxs.push(rx);
-    }
-    let workers = threads.max(1).min(specs.len());
-    let queue = Arc::new(StealQueue::new(workers, tasks));
-    let slots: Arc<Mutex<Vec<Option<ShardStats>>>> = Arc::new(Mutex::new(vec![None; specs.len()]));
-    let seeds: Vec<(usize, Val)> = eq_seeds.to_vec();
-    let handles = (0..workers)
-        .map(|w| {
-            let queue = Arc::clone(&queue);
-            let slots = Arc::clone(&slots);
-            let db = Arc::clone(&shared);
-            let query = query.clone();
-            let seeds = seeds.clone();
-            let inv = inv.clone();
-            std::thread::spawn(move || {
-                let ctx = RunCtx {
-                    db: &db,
-                    query: &query,
-                    mode,
-                    inv: inv.as_deref(),
-                    eq_seeds: &seeds,
-                    cap,
-                };
-                drive_worker(w, &queue, &slots, &ctx, EmitMode::Incremental);
-            })
-        })
-        .collect();
-    let order = GaoOrder::new(prepared.gao().order.clone());
-    ShardedStream {
-        merge: GlobalOrderMerge::new(rxs, &specs, order),
-        remaining: cap,
-        specs,
-        queue,
-        slots,
-        handles,
-    }
-}
-
 impl ShardedStream {
+    /// Builds the one worker pipeline: `specs` become tasks on the steal
+    /// queue of `min(threads, tasks)` detached workers, probing under
+    /// `eq_seeds` (execution numbering) and `run`'s limit. Only an
+    /// unlimited run its caller promised to drain has its workers send
+    /// one batch per shard.
+    pub(crate) fn spawn(
+        exec: &PreparedExec,
+        db: &Arc<Database>,
+        threads: usize,
+        specs: Vec<ShardSpec>,
+        run: &Run<'_>,
+        eq_seeds: Vec<(usize, Val)>,
+    ) -> Self {
+        let mut rxs: Vec<Receiver<Vec<Tuple>>> = Vec::with_capacity(specs.len());
+        let mut tasks: Vec<ShardTask> = Vec::with_capacity(specs.len());
+        for (idx, &spec) in specs.iter().enumerate() {
+            let (tx, rx) = sync_channel::<Vec<Tuple>>(CHANNEL_CAP);
+            tasks.push((idx, spec, tx));
+            rxs.push(rx);
+        }
+        let workers = threads.min(specs.len());
+        let pipeline = Arc::new(Pipeline {
+            exec: exec.clone(),
+            db: Arc::clone(db),
+            eq_seeds,
+            cap: run.limit.unwrap_or(usize::MAX),
+            batch_per_shard: run.drain && run.limit.is_none(),
+            queue: StealQueue::new(workers, tasks),
+            slots: Mutex::new(vec![None; specs.len()]),
+        });
+        let handles = (0..workers)
+            .map(|w| {
+                let pipeline = Arc::clone(&pipeline);
+                std::thread::spawn(move || drive_worker(w, &pipeline))
+            })
+            .collect();
+        let order = GaoOrder::new(exec.gao().order.clone());
+        ShardedStream {
+            merge: GlobalOrderMerge::new(rxs, &specs, order),
+            remaining: pipeline.cap,
+            specs,
+            pipeline,
+            handles,
+        }
+    }
+
     /// A live snapshot of the aggregate counters: the sum over shards
     /// whose probe loops have finished so far. Complete (and stable) only
     /// after the stream is exhausted or [`ShardedStream::finish`] ran —
     /// mid-flight it undercounts by the shards still probing.
-    pub fn stats(&self) -> ExecStats {
+    pub(crate) fn stats(&self) -> ExecStats {
         let mut agg = ExecStats::new();
-        for s in self.slots.lock().unwrap().iter().flatten() {
+        for s in self.pipeline.slots.lock().unwrap().iter().flatten() {
             agg.merge(&s.stats);
         }
         agg
-    }
-
-    /// Snapshot of the per-shard accounting recorded so far (finished
-    /// shards only), in output-space order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.slots
-            .lock()
-            .unwrap()
-            .iter()
-            .flatten()
-            .cloned()
-            .collect()
-    }
-
-    /// The shard tasks this stream runs, in output-space order.
-    pub fn specs(&self) -> &[ShardSpec] {
-        &self.specs
     }
 
     /// Cancels outstanding work, joins the workers, and returns the
@@ -994,21 +598,18 @@ impl ShardedStream {
     /// with zero counters), the aggregate is the exact per-shard sum,
     /// and nothing mutates afterwards — what the cancellation tests
     /// assert work bounds against.
-    pub fn finish(mut self) -> ShardReport {
-        self.queue.cancel();
+    pub(crate) fn finish(mut self) -> ShardReport {
+        self.pipeline.queue.cancel();
         self.merge.close(); // close every channel: unblock parked senders
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        let recorded = self.slots.lock().unwrap();
+        let mut recorded = self.pipeline.slots.lock().unwrap();
         let shards: Vec<ShardStats> = self
             .specs
             .iter()
-            .zip(recorded.iter())
-            .map(|(&spec, slot)| match slot {
-                Some(s) => s.clone(),
-                None => ShardStats::unrun(spec),
-            })
+            .zip(recorded.iter_mut())
+            .map(|(&spec, slot)| slot.take().unwrap_or_else(|| ShardStats::unrun(spec)))
             .collect();
         drop(recorded);
         let mut stats = ExecStats::new();
@@ -1017,18 +618,8 @@ impl ShardedStream {
         }
         ShardReport {
             stats,
-            shards,
-            steals: self.queue.steals(),
+            shards: Some(shards),
         }
-    }
-}
-
-impl ShardedStream {
-    /// The next tuple off the merge, ignoring the global limit (shared
-    /// by `next` and the truncation probe). Workers translated already,
-    /// so the merged tuple is returned as-is.
-    fn pull(&mut self) -> Option<Tuple> {
-        self.merge.next()
     }
 
     /// After the iterator has yielded its `limit` tuples, reports
@@ -1036,8 +627,8 @@ impl ShardedStream {
     /// truncation markers. Bypasses the limit to pull exactly one tuple
     /// further (shard workers emit one tuple of truncation evidence
     /// beyond their cap for exactly this call).
-    pub fn truncated(&mut self) -> bool {
-        self.pull().is_some()
+    pub(crate) fn truncated(&mut self) -> bool {
+        self.merge.next().is_some()
     }
 }
 
@@ -1048,7 +639,9 @@ impl Iterator for ShardedStream {
         if self.remaining == 0 {
             return None;
         }
-        let t = self.pull()?;
+        // Workers translated already, so the merged tuple is returned
+        // as-is.
+        let t = self.merge.next()?;
         self.remaining -= 1;
         Some(t)
     }
@@ -1060,7 +653,7 @@ impl Drop for ShardedStream {
         // tasks; the merge's receivers drop with it, erroring every
         // in-flight send. Workers are detached but co-own all their
         // data, so not joining is safe.
-        self.queue.cancel();
+        self.pipeline.queue.cancel();
     }
 }
 
@@ -1081,12 +674,40 @@ pub fn shard_strategy(specs: &[ShardSpec], threads: usize) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute::{Execution, Run};
     use crate::naive::naive_join;
-    use crate::plan::plan;
+    use crate::plan::{plan, Plan};
     use crate::query::Query;
     use minesweeper_storage::{builder, RelationBuilder};
 
-    fn path_db(n: i64) -> (Database, Query) {
+    /// Drains `p` on up to `threads` workers, optionally capped.
+    fn sharded(p: &Plan, db: &Arc<Database>, threads: usize, limit: Option<usize>) -> Execution {
+        p.prepare_exec(db)
+            .unwrap()
+            .execute(db, &par_run(threads, limit))
+    }
+
+    /// An uncapped-or-capped run on up to `threads` workers.
+    fn par_run(threads: usize, limit: Option<usize>) -> Run<'static> {
+        Run {
+            threads: Some(threads),
+            limit,
+            ..Run::default()
+        }
+    }
+
+    /// The per-shard accounting of a run that asked for a worker count.
+    fn shards(e: &Execution) -> &[ShardStats] {
+        e.shards.as_deref().expect("a worker count was given")
+    }
+
+    /// The in-thread stream's full sequence (certification order).
+    fn serial_sequence(p: &Plan, db: &Arc<Database>) -> Vec<Tuple> {
+        let exec = p.prepare_exec(db).unwrap();
+        exec.open(db, &Run::default()).collect()
+    }
+
+    fn path_db(n: i64) -> (Arc<Database>, Query) {
         let mut db = Database::new();
         let e1 = db
             .add(builder::binary("E1", (0..n).map(|i| (i, (i * 7) % n))))
@@ -1095,7 +716,7 @@ mod tests {
             .add(builder::binary("E2", (0..n).map(|i| ((i * 3) % n, i))))
             .unwrap();
         let q = Query::new(3).atom(e1, &[0, 1]).atom(e2, &[1, 2]);
-        (db, q)
+        (Arc::new(db), q)
     }
 
     #[test]
@@ -1104,10 +725,10 @@ mod tests {
         let p = plan(&db, &q).unwrap();
         let serial = p.execute(&db).unwrap();
         for k in [1, 2, 3, 8] {
-            let par = p.execute_parallel(&db, k).unwrap();
+            let par = sharded(&p, &db, k, None);
             assert_eq!(par.result.tuples, serial.result.tuples, "k={k}");
             assert_eq!(par.gao, serial.gao);
-            assert!(par.shards.len() <= k.max(1) * MAX_TASKS_PER_THREAD);
+            assert!(shards(&par).len() <= k.max(1) * MAX_TASKS_PER_THREAD);
         }
     }
 
@@ -1135,12 +756,13 @@ mod tests {
             .atom(r, &[0, 1, 2])
             .atom(s, &[0, 2])
             .atom(t, &[1, 2]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
         assert!(p.is_reindexed());
         let serial = p.execute(&db).unwrap();
         assert!(!serial.result.tuples.is_empty());
         for k in [2, 4, 16] {
-            let par = p.execute_parallel(&db, k).unwrap();
+            let par = sharded(&p, &db, k, None);
             assert_eq!(par.result.tuples, serial.result.tuples, "k={k}");
         }
     }
@@ -1158,9 +780,10 @@ mod tests {
             .atom(e, &[0, 1])
             .atom(e, &[1, 2])
             .atom(e, &[0, 2]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
         let serial = p.execute(&db).unwrap();
-        let par = p.execute_parallel(&db, 4).unwrap();
+        let par = sharded(&p, &db, 4, None);
         assert_eq!(par.result.tuples, serial.result.tuples);
         assert_eq!(par.result.tuples, naive_join(&db, &q).unwrap());
     }
@@ -1169,17 +792,17 @@ mod tests {
     fn shard_stats_sum_to_aggregate() {
         let (db, q) = path_db(50);
         let p = plan(&db, &q).unwrap();
-        let par = p.execute_parallel(&db, 4).unwrap();
-        assert!(par.shards.len() >= 2, "enough distinct values to shard");
+        let par = sharded(&p, &db, 4, None);
+        assert!(shards(&par).len() >= 2, "enough distinct values to shard");
         let mut sum = ExecStats::new();
-        for s in &par.shards {
+        for s in shards(&par) {
             assert!(s.completed, "an unlimited run exhausts every shard");
             sum.merge(&s.stats);
         }
         assert_eq!(sum, par.result.stats);
         assert_eq!(sum.outputs as usize, par.result.tuples.len());
         // Specs are disjoint, contiguous, and cover the output space.
-        check_spec_cover(&par.shards);
+        check_spec_cover(shards(&par));
     }
 
     /// Asserts the shard list tiles the output space: plain shards are
@@ -1209,11 +832,12 @@ mod tests {
         let r = db.add(builder::unary("R", [2, 5, 9])).unwrap();
         let s = db.add(builder::unary("S", [1, 2, 5, 9])).unwrap();
         let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
-        let par = p.execute_parallel(&db, 64).unwrap();
+        let par = sharded(&p, &db, 64, None);
         assert_eq!(par.result.tuples, vec![vec![2], vec![5], vec![9]]);
         assert_eq!(
-            par.shards.len(),
+            shards(&par).len(),
             4,
             "capped at the primary's distinct values"
         );
@@ -1229,11 +853,12 @@ mod tests {
         let r = db.add(builder::unary("R", [7])).unwrap();
         let s = db.add(builder::unary("S", [7])).unwrap();
         let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
-        let par = p.execute_parallel(&db, 8).unwrap();
-        assert_eq!(par.shards.len(), 1);
-        assert!(par.shards[0].spec.bounds.is_unbounded());
-        assert!(!par.shards[0].spec.is_nested());
+        let par = sharded(&p, &db, 8, None);
+        assert_eq!(shards(&par).len(), 1);
+        assert!(shards(&par)[0].spec.bounds.is_unbounded());
+        assert!(!shards(&par)[0].spec.is_nested());
         assert_eq!(par.result.tuples, vec![vec![7]]);
     }
 
@@ -1254,19 +879,20 @@ mod tests {
             .add(builder::binary("S", (0..200).map(|i| (i, 9))))
             .unwrap();
         let q = Query::new(3).atom(r, &[0, 1]).atom(s, &[1, 2]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
         assert!(p.is_reindexed(), "precondition: the run sits at GAO 0");
-        let par = p.execute_parallel(&db, 4).unwrap();
+        let par = sharded(&p, &db, 4, None);
         assert!(
-            par.shards.len() > 1,
+            shards(&par).len() > 1,
             "nested split must engage: {:?}",
-            par.shards.iter().map(|s| s.spec).collect::<Vec<_>>()
+            shards(&par).iter().map(|s| s.spec).collect::<Vec<_>>()
         );
-        assert!(par.shards.iter().all(|s| s.spec.is_nested()));
+        assert!(shards(&par).iter().all(|s| s.spec.is_nested()));
         assert_eq!(par.result.tuples, p.execute(&db).unwrap().result.tuples);
-        check_spec_cover(&par.shards);
+        check_spec_cover(shards(&par));
         let mut sum = ExecStats::new();
-        for s in &par.shards {
+        for s in shards(&par) {
             sum.merge(&s.stats);
         }
         assert_eq!(sum, par.result.stats, "nested shards still reconcile");
@@ -1288,9 +914,10 @@ mod tests {
             .add(builder::binary("S", (0..30).map(|i| (i, i % 5))))
             .unwrap();
         let q = Query::new(3).atom(r, &[0, 1]).atom(s, &[1, 2]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
-        let par = p.execute_parallel(&db, 8).unwrap();
-        assert!(!par.shards.is_empty());
+        let par = sharded(&p, &db, 8, None);
+        assert!(!shards(&par).is_empty());
         assert_eq!(par.result.tuples, p.execute(&db).unwrap().result.tuples);
         assert_eq!(
             par.result.stats.outputs as usize,
@@ -1305,10 +932,11 @@ mod tests {
         let r = db.add(builder::unary("R", [])).unwrap();
         let s = db.add(builder::unary("S", [])).unwrap();
         let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
-        let par = p.execute_parallel(&db, 4).unwrap();
+        let par = sharded(&p, &db, 4, None);
         assert!(par.result.tuples.is_empty());
-        assert_eq!(par.shards.len(), 1, "no values ⇒ one unbounded shard");
+        assert_eq!(shards(&par).len(), 1, "no values ⇒ one unbounded shard");
     }
 
     #[test]
@@ -1320,29 +948,29 @@ mod tests {
         let r = db.add(builder::unary("R", 0..40)).unwrap();
         let s = db.add(builder::unary("S", (0..40).map(|i| i * 2))).unwrap();
         let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
         assert!(!p.is_reindexed());
         let full = p.execute(&db).unwrap().result.tuples;
         assert!(full.len() > 5);
-        let sp = p.clone().sharded(4);
-        let limited = sp.execute_limited(&db, Some(5)).unwrap();
+        let limited = sharded(&p, &db, 4, Some(5));
         assert_eq!(limited.result.tuples, full[..5]);
         // Every shard certified at most the cap (the truncation probe is
         // excluded from the counters).
-        for s in &limited.shards {
+        for s in shards(&limited) {
             assert!(s.stats.outputs <= 5, "shard over cap: {:?}", s.stats);
         }
         // A limit beyond Z changes nothing and is not "truncated".
-        let all = sp.execute_limited(&db, Some(full.len() + 10)).unwrap();
+        let all = sharded(&p, &db, 4, Some(full.len() + 10));
         assert_eq!(all.result.tuples, full);
         assert!(!all.truncated);
         assert!(limited.truncated, "the 5-cap really cut tuples");
         // A limit exactly equal to Z returns everything, un-truncated.
-        let exact = sp.execute_limited(&db, Some(full.len())).unwrap();
+        let exact = sharded(&p, &db, 4, Some(full.len()));
         assert_eq!(exact.result.tuples, full);
         assert!(!exact.truncated, "equal-to-limit results are complete");
         // The unlimited path never reports truncation.
-        assert!(!sp.execute(&db).unwrap().truncated);
+        assert!(!sharded(&p, &db, 4, None).truncated);
     }
 
     #[test]
@@ -1356,18 +984,19 @@ mod tests {
         assert!(p.is_reindexed(), "path query re-indexes (GAO [2,1,0])");
         let full = p.execute(&db).unwrap().result.tuples;
         for k in [1, 5, 17] {
-            let mut serial_prefix: Vec<Tuple> = p.stream(&db).unwrap().take(k).collect();
+            let mut serial_prefix = serial_sequence(&p, &db);
+            serial_prefix.truncate(k);
             serial_prefix.sort_unstable();
-            let limited = p.clone().sharded(4).execute_limited(&db, Some(k)).unwrap();
+            let limited = sharded(&p, &db, 4, Some(k));
             assert_eq!(
                 limited.result.tuples, serial_prefix,
                 "k={k}: parallel limit must equal the serial sorted prefix"
             );
-            for s in &limited.shards {
+            for s in shards(&limited) {
                 assert!(s.stats.outputs <= k as u64);
             }
         }
-        let limited = p.clone().sharded(4).execute_limited(&db, Some(5)).unwrap();
+        let limited = sharded(&p, &db, 4, Some(5));
         for t in &limited.result.tuples {
             assert!(full.contains(t));
         }
@@ -1382,12 +1011,11 @@ mod tests {
         let p = plan(&db, &q).unwrap();
         assert!(p.is_reindexed());
         let prepared = p.prepare_exec(&db).unwrap();
-        let db = Arc::new(db);
+        let serial = serial_sequence(&p, &db);
         for threads in [2, 4, 7] {
             for k in [1, 3, 11, 40] {
-                let serial: Vec<Tuple> = p.stream(&db).unwrap().take(k).collect();
-                let par: Vec<Tuple> = prepared.stream_parallel(&db, threads, Some(k)).collect();
-                assert_eq!(par, serial, "threads={threads} k={k}");
+                let par: Vec<Tuple> = prepared.open(&db, &par_run(threads, Some(k))).collect();
+                assert_eq!(par, serial[..k], "threads={threads} k={k}");
             }
         }
     }
@@ -1405,17 +1033,17 @@ mod tests {
             .add(builder::binary("S", (0..200).map(|i| (i, 9))))
             .unwrap();
         let q = Query::new(3).atom(r, &[0, 1]).atom(s, &[1, 2]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
         assert!(p.is_reindexed());
-        let specs = p.clone().sharded(4).shard_specs(&db).unwrap();
-        assert!(specs.iter().any(|s| s.is_nested()), "nested split engages");
-        let serial: Vec<Tuple> = p.stream(&db).unwrap().collect();
         let prepared = p.prepare_exec(&db).unwrap();
-        let db = Arc::new(db);
-        let par: Vec<Tuple> = prepared.stream_parallel(&db, 4, None).collect();
+        let specs = prepared.shard_specs(&db, 4);
+        assert!(specs.iter().any(|s| s.is_nested()), "nested split engages");
+        let serial = serial_sequence(&p, &db);
+        let par: Vec<Tuple> = prepared.open(&db, &par_run(4, None)).collect();
         assert_eq!(par, serial);
         let k = serial.len() / 3;
-        let prefix: Vec<Tuple> = prepared.stream_parallel(&db, 4, Some(k)).collect();
+        let prefix: Vec<Tuple> = prepared.open(&db, &par_run(4, Some(k))).collect();
         assert_eq!(prefix, serial[..k]);
     }
 
@@ -1427,9 +1055,10 @@ mod tests {
         let r = db.add(builder::unary("R", 0..4000)).unwrap();
         let s = db.add(builder::unary("S", 0..4000)).unwrap();
         let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
+        let db = Arc::new(db);
         let p = plan(&db, &q).unwrap();
-        let full = p.execute_parallel(&db, 4).unwrap();
-        let limited = p.clone().sharded(4).execute_limited(&db, Some(1)).unwrap();
+        let full = sharded(&p, &db, 4, None);
+        let limited = sharded(&p, &db, 4, Some(1));
         assert!(limited.truncated);
         assert!(
             limited.result.stats.probe_points * 2 < full.result.stats.probe_points,
@@ -1438,42 +1067,31 @@ mod tests {
             full.result.stats.probe_points
         );
         assert!(
-            limited.shards.iter().any(|s| !s.completed),
+            shards(&limited).iter().any(|s| !s.completed),
             "some shard was cancelled or capped"
         );
-    }
-
-    #[test]
-    fn prepared_exec_parallel_matches_sharded_plan() {
-        let (db, q) = path_db(30);
-        let p = plan(&db, &q).unwrap();
-        let via_plan = p.execute_parallel(&db, 3).unwrap();
-        let prepared = p.prepare_exec(&db).unwrap();
-        let via_exec = prepared.execute_parallel(&db, 3, None);
-        assert_eq!(via_exec.result.tuples, via_plan.result.tuples);
-        assert_eq!(via_exec.shards.len(), via_plan.shards.len());
     }
 
     #[test]
     fn sharded_stream_yields_serial_stream_order_incrementally() {
         let (db, q) = path_db(30);
         let p = plan(&db, &q).unwrap();
-        let serial: Vec<Tuple> = p.stream(&db).unwrap().collect();
-        let sharded = p.clone().sharded(3);
-        let db = Arc::new(db);
-        let got: Vec<Tuple> = sharded.stream(&db).unwrap().collect();
+        let serial = serial_sequence(&p, &db);
+        let prepared = p.prepare_exec(&db).unwrap();
+        let got: Vec<Tuple> = prepared.open(&db, &par_run(3, None)).collect();
         assert_eq!(got, serial);
         // Finish after full consumption: stable, reconciling accounting.
-        let mut stream = sharded.stream(&db).unwrap();
+        let mut stream = prepared.open(&db, &par_run(3, None));
         let first = stream.next().unwrap();
         assert_eq!(first, serial[0], "incremental: first tuple mid-flight");
         let rest: Vec<Tuple> = stream.by_ref().collect();
         assert_eq!(rest.len(), serial.len() - 1);
         let report = stream.finish();
         assert_eq!(report.stats.outputs as usize, serial.len());
-        assert!(report.shards.iter().all(|s| s.completed));
+        let shards = report.shards.unwrap();
+        assert!(shards.iter().all(|s| s.completed));
         let mut sum = ExecStats::new();
-        for s in &report.shards {
+        for s in &shards {
             sum.merge(&s.stats);
         }
         assert_eq!(sum, report.stats);
@@ -1485,10 +1103,11 @@ mod tests {
         let r = db.add(builder::unary("R", 0..8000)).unwrap();
         let s = db.add(builder::unary("S", 0..8000)).unwrap();
         let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
-        let p = plan(&db, &q).unwrap();
         let db = Arc::new(db);
-        let full = p.execute_parallel(&db, 4).unwrap();
-        let mut stream = p.clone().sharded(4).stream(&db).unwrap();
+        let p = plan(&db, &q).unwrap();
+        let full = sharded(&p, &db, 4, None);
+        let prepared = p.prepare_exec(&db).unwrap();
+        let mut stream = prepared.open(&db, &par_run(4, None));
         assert!(stream.next().is_some());
         let report = stream.finish();
         assert!(
@@ -1497,25 +1116,17 @@ mod tests {
             report.stats.probe_points,
             full.result.stats.probe_points
         );
-        assert!(report.shards.iter().any(|s| !s.completed));
-        assert_eq!(report.shards.len(), stream_specs_len(&p, &db, 4));
-    }
-
-    fn stream_specs_len(p: &Plan, db: &Arc<Database>, threads: usize) -> usize {
-        p.clone().sharded(threads).shard_specs(db).unwrap().len()
+        let shards = report.shards.unwrap();
+        assert!(shards.iter().any(|s| !s.completed));
+        assert_eq!(shards.len(), prepared.shard_specs(&db, 4).len());
     }
 
     #[test]
-    fn explain_and_accessors() {
+    fn shard_specs_and_strategy() {
         let (db, q) = path_db(10);
         let p = plan(&db, &q).unwrap();
-        let sp = p.clone().sharded(0);
-        assert_eq!(sp.threads(), 1, "0 workers clamps to 1");
-        let sp = p.clone().sharded(4);
-        assert_eq!(sp.threads(), 4);
-        assert_eq!(sp.plan().gao(), p.gao());
-        assert!(sp.explain().contains("parallel: up to 4"));
-        let specs = sp.shard_specs(&db).unwrap();
+        assert_eq!(shards(&sharded(&p, &db, 0, None)).len(), 1, "0 workers = 1");
+        let specs = p.prepare_exec(&db).unwrap().shard_specs(&db, 4);
         assert!(!specs.is_empty() && specs.len() <= 4 * MAX_TASKS_PER_THREAD);
         assert_eq!(shard_strategy(&specs, 4), "stolen");
         assert_eq!(shard_strategy(&specs[..1], 4), "equi-depth");

@@ -1,28 +1,33 @@
 //! The streaming Minesweeper executor.
 //!
-//! [`TupleStream`] runs Algorithm 2's probe loop *lazily*: each call to
-//! [`Iterator::next`] resumes the loop exactly where the previous call
-//! stopped — the constraint data structure **is** the resumable state, since
-//! every discovered gap and every emitted output is recorded there as a
+//! The private `TupleStream` runs Algorithm 2's probe loop *lazily*: each
+//! call to `next` resumes the loop exactly where the previous call stopped
+//! — the constraint data structure **is** the resumable state, since every
+//! discovered gap and every emitted output is recorded there as a
 //! constraint — and returns as soon as the next tuple is certified. This
 //! gives:
 //!
-//! * **early termination**: `stream.take(k)` performs only the probe work
+//! * **early termination**: pulling `k` tuples performs only the probe work
 //!   needed to certify `k` tuples (certificate work for the skipped suffix
 //!   is never paid), which is how `msj --limit` avoids materializing `Z`
 //!   tuples when `Z ≫ k`;
-//! * **mid-stream statistics**: [`TupleStream::stats`] snapshots the
-//!   [`ExecStats`] counters at any point, including between yields;
+//! * **mid-stream statistics**: the [`ExecStats`] counters can be
+//!   snapshotted at any point, including between yields;
 //! * **original-order tuples**: when the plan re-indexed for a non-identity
 //!   GAO, yielded tuples are translated back to the caller's attribute
 //!   numbering on the fly. Tuples are yielded in certification order, which
 //!   is lexicographic in the *GAO*; it therefore coincides with
 //!   lexicographic order in the original numbering exactly when the GAO is
-//!   the identity (see [`mod@crate::execute`] for the sorted-collect wrapper).
+//!   the identity (see [`mod@crate::execute`] for the sorted drain).
 //!
 //! Relations are probed through [`GapCursor`]s that persist across resumed
 //! probes, so a forward-moving probe sequence gallops from the previous
 //! landing position instead of re-running full binary searches.
+//!
+//! Nothing outside this module builds a `TupleStream`: every probe loop in
+//! the crate — the in-thread arm of [`crate::ExecStream`], each shard
+//! worker, [`crate::minesweeper_join`] — is a `ShardProbe`, the stream plus
+//! the cap bookkeeping all of them share.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,26 +39,16 @@ use minesweeper_storage::{
 };
 
 use crate::query::{Atom, Query};
+use crate::sharded::ShardStats;
 
-/// The database a stream probes: borrowed from the caller when the plan
-/// uses the stored indexes directly, owned when execution required
-/// re-indexing under a different GAO.
-pub(crate) enum DbHandle<'db> {
-    /// The caller's database, indexes used as stored.
-    Borrowed(&'db Database),
-    /// A re-indexed copy built by the plan's GAO mapping.
-    Owned(Box<Database>),
-}
-
-/// A lazy stream of certified output tuples (see the module docs).
-///
-/// Construct via [`crate::Plan::stream`]. The stream is fused: after the
-/// constraint set covers the whole output space, `next` keeps returning
-/// `None`.
-pub struct TupleStream<'db> {
-    db: DbHandle<'db>,
+/// A lazy stream of certified output tuples (see the module docs). It
+/// borrows everything it reads — a stream never owns a database. The
+/// stream is fused: after the constraint set covers the whole output
+/// space, `next` keeps returning `None`.
+struct TupleStream<'a> {
+    db: &'a Database,
     /// The execution-side query (re-indexed when the plan demanded it).
-    query: Query,
+    query: &'a Query,
     cds: ConstraintTree,
     pst: ProbeStats,
     stats: ExecStats,
@@ -63,7 +58,7 @@ pub struct TupleStream<'db> {
     gaps: Vec<Constraint>,
     /// `inv[a]` = execution column holding original attribute `a`; `None`
     /// when the GAO is the identity.
-    inv: Option<Vec<usize>>,
+    inv: Option<&'a [usize]>,
     /// Cooperative-cancellation flag, polled once per probe point: a
     /// parallel consumer tearing its pipeline down flips it so in-flight
     /// shards stop promptly even when their remaining probe work would
@@ -72,17 +67,7 @@ pub struct TupleStream<'db> {
     done: bool,
 }
 
-impl<'db> TupleStream<'db> {
-    /// Builds a stream over an already-validated execution query.
-    pub(crate) fn new(
-        db: DbHandle<'db>,
-        query: Query,
-        mode: ProbeMode,
-        inv: Option<Vec<usize>>,
-    ) -> Self {
-        Self::with_shard(db, query, mode, inv, ShardSpec::unbounded(), &[])
-    }
-
+impl<'a> TupleStream<'a> {
     /// Builds a stream whose probe loop is confined to the shard `spec`
     /// (a first-GAO-attribute interval, plus a second-attribute interval
     /// for nested shards) and to `eq_seeds` equality constraints
@@ -93,8 +78,8 @@ impl<'db> TupleStream<'db> {
     /// * `spec.bounds` becomes the depth-0 open intervals `(−∞, lo)` and
     ///   `(hi, +∞)`, so `getProbePoint` never proposes a tuple outside
     ///   `[lo, hi]` and the loop terminates once the *shard's* slice of
-    ///   the output space is covered — the per-shard engine of
-    ///   [`crate::ShardedPlan`]: disjoint bounds give probe loops that
+    ///   the output space is covered — the per-shard engine of the
+    ///   parallel pipeline: disjoint bounds give probe loops that
     ///   share no state, and within its interval each stream yields
     ///   exactly the serial stream's tuples in the same
     ///   (GAO-lexicographic) order;
@@ -112,35 +97,37 @@ impl<'db> TupleStream<'db> {
     ///   touching the catalog.
     ///
     /// Seed constraints are counted in `constraints_inserted` like any
-    /// other.
-    pub(crate) fn with_shard(
-        db: DbHandle<'db>,
-        query: Query,
-        mode: ProbeMode,
-        inv: Option<Vec<usize>>,
+    /// other. Once an armed `cancel` flag turns true, the probe loop stops
+    /// between probe points and `next` returns `None` without marking the
+    /// stream exhausted — so cancelled shards stop even when no further
+    /// output would be emitted; counters stay valid for the work actually
+    /// done.
+    fn with_shard(
+        ctx: &ProbeCtx<'a>,
         spec: ShardSpec,
         eq_seeds: &[(usize, Val)],
+        cancel: Option<Arc<AtomicBool>>,
     ) -> Self {
+        let ProbeCtx {
+            db,
+            query,
+            mode,
+            inv,
+        } = *ctx;
         let n = query.n_attrs;
         let mut stats = ExecStats::new();
-        let cursors = {
-            let dbr: &Database = match &db {
-                DbHandle::Borrowed(d) => d,
-                DbHandle::Owned(b) => b,
-            };
-            // Record, once per stream, how many packed runs back the atoms
-            // this probe loop will touch (0 on the all-sorted path).
-            stats.dense_leaves = query
-                .atoms
-                .iter()
-                .map(|a| dbr.probe_target(a.rel).dense_runs())
-                .sum();
-            query
-                .atoms
-                .iter()
-                .map(|a| GapCursor::new(dbr.relation(a.rel).arity()))
-                .collect()
-        };
+        // Record, once per stream, how many packed runs back the atoms
+        // this probe loop will touch (0 on the all-sorted path).
+        stats.dense_leaves = query
+            .atoms
+            .iter()
+            .map(|a| db.probe_target(a.rel).dense_runs())
+            .sum();
+        let cursors = query
+            .atoms
+            .iter()
+            .map(|a| GapCursor::new(db.relation(a.rel).arity()))
+            .collect();
         let mut cds = ConstraintTree::new(n, mode);
         let mut pst = ProbeStats::default();
         if spec.bounds.lo != NEG_INF {
@@ -184,22 +171,13 @@ impl<'db> TupleStream<'db> {
             cursors,
             gaps: Vec::new(),
             inv,
-            cancel: None,
+            cancel,
             done: false,
         }
     }
 
-    /// Arms cooperative cancellation: once `flag` turns true, the probe
-    /// loop stops between probe points and `next` returns `None` without
-    /// marking the stream exhausted. Used by the parallel executors so
-    /// cancelled shards stop even when no further output would be
-    /// emitted; counters stay valid for the work actually done.
-    pub(crate) fn set_cancel(&mut self, flag: Arc<AtomicBool>) {
-        self.cancel = Some(flag);
-    }
-
     /// True when an armed cancellation flag has fired.
-    pub(crate) fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.cancel
             .as_deref()
             .is_some_and(|c| c.load(Ordering::Relaxed))
@@ -207,21 +185,10 @@ impl<'db> TupleStream<'db> {
 
     /// A snapshot of the execution counters accumulated so far, valid at
     /// any point mid-stream. `outputs` counts tuples already yielded.
-    pub fn stats(&self) -> ExecStats {
+    fn stats(&self) -> ExecStats {
         let mut s = self.stats.clone();
         merge_probe_stats(&mut s, &self.pst);
         s
-    }
-
-    /// True once the constraint set covers the whole space (the stream has
-    /// returned `None`).
-    pub fn is_exhausted(&self) -> bool {
-        self.done
-    }
-
-    /// Number of tuples yielded so far.
-    pub fn outputs(&self) -> u64 {
-        self.stats.outputs
     }
 }
 
@@ -232,10 +199,7 @@ impl Iterator for TupleStream<'_> {
         if self.done {
             return None;
         }
-        let db: &Database = match &self.db {
-            DbHandle::Borrowed(d) => d,
-            DbHandle::Owned(b) => b,
-        };
+        let db = self.db;
         while !self.is_cancelled() {
             let Some(t) = self.cds.get_probe_point(&mut self.pst) else {
                 break;
@@ -272,7 +236,7 @@ impl Iterator for TupleStream<'_> {
                 self.cds
                     .insert_constraint(&Constraint::point_exclusion(&t), &mut self.pst);
                 self.stats.outputs += 1;
-                return Some(match &self.inv {
+                return Some(match self.inv {
                     None => t,
                     Some(inv) => inv.iter().map(|&c| t[c]).collect(),
                 });
@@ -287,6 +251,95 @@ impl Iterator for TupleStream<'_> {
             self.done = true;
         }
         None
+    }
+}
+
+/// What every probe loop of one run shares: the execution database, the
+/// execution-side query, the probe mode, and the original-numbering
+/// translation (`inv[a]` = execution column of original attribute `a`).
+#[derive(Clone, Copy)]
+pub(crate) struct ProbeCtx<'a> {
+    pub(crate) db: &'a Database,
+    pub(crate) query: &'a Query,
+    pub(crate) mode: ProbeMode,
+    pub(crate) inv: Option<&'a [usize]>,
+}
+
+/// One confined probe loop plus its cap bookkeeping — the unit every way
+/// of running a plan is made of (see the module docs).
+///
+/// [`ShardProbe::next`] yields at most `cap` tuples. Once the cap is
+/// reached, [`ShardProbe::evidence`] pulls exactly one tuple further — the
+/// proof that the cap cut something — after freezing the counters, so the
+/// reported statistics cover the capped prefix only and never the
+/// evidence tuple's probe work.
+pub(crate) struct ShardProbe<'a> {
+    stream: TupleStream<'a>,
+    spec: ShardSpec,
+    /// Tuples `next` may still yield before the cap.
+    remaining: usize,
+    /// The counters as they stood when the cap was reached.
+    at_cap: Option<ExecStats>,
+}
+
+impl<'a> ShardProbe<'a> {
+    /// Opens the probe loop confined to `spec` and to the `eq_seeds`
+    /// equality constraints (execution numbering), yielding at most `cap`
+    /// tuples. A `cancel` flag, when given, is polled between probe points.
+    pub(crate) fn open(
+        ctx: &ProbeCtx<'a>,
+        spec: ShardSpec,
+        eq_seeds: &[(usize, Val)],
+        cap: usize,
+        cancel: Option<Arc<AtomicBool>>,
+    ) -> Self {
+        ShardProbe {
+            stream: TupleStream::with_shard(ctx, spec, eq_seeds, cancel),
+            spec,
+            remaining: cap,
+            at_cap: None,
+        }
+    }
+
+    /// The next certified tuple; `None` at the cap, on exhaustion, or once
+    /// the cancel flag fired.
+    pub(crate) fn next(&mut self) -> Option<Tuple> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let t = self.stream.next()?;
+        self.remaining -= 1;
+        Some(t)
+    }
+
+    /// After `next` stopped at the cap: one tuple beyond it, if there is
+    /// one. One-shot — `None` (and no probe work) when the cap was never
+    /// reached or the evidence was already taken.
+    pub(crate) fn evidence(&mut self) -> Option<Tuple> {
+        if self.remaining > 0 || self.at_cap.is_some() {
+            return None;
+        }
+        self.at_cap = Some(self.stream.stats());
+        self.stream.next()
+    }
+
+    /// The counters so far — live mid-stream, frozen once the cap was
+    /// probed past.
+    pub(crate) fn stats(&self) -> ExecStats {
+        self.at_cap.clone().unwrap_or_else(|| self.stream.stats())
+    }
+
+    /// This probe's entry in the per-shard accounting. `completed` only
+    /// when the loop ran to exhaustion: a shard stopped at its cap with
+    /// evidence left, cancelled mid-flight or abandoned by its consumer is
+    /// not.
+    pub(crate) fn into_shard_stats(self, stolen: bool) -> ShardStats {
+        ShardStats {
+            stats: self.stats(),
+            spec: self.spec,
+            stolen,
+            completed: self.stream.done,
+        }
     }
 }
 
@@ -435,6 +488,17 @@ mod tests {
     use minesweeper_cds::{NEG_INF, POS_INF};
     use minesweeper_storage::{builder, RelId};
 
+    /// An unconfined chain-mode probe loop over `q`, capped at `cap`.
+    fn whole<'a>(db: &'a Database, q: &'a Query, cap: usize) -> ShardProbe<'a> {
+        let ctx = ProbeCtx {
+            db,
+            query: q,
+            mode: ProbeMode::Chain,
+            inv: None,
+        };
+        ShardProbe::open(&ctx, ShardSpec::unbounded(), &[], cap, None)
+    }
+
     #[test]
     fn gap_constraint_positions() {
         // Atom over GAO positions (0, 2) of a 3-attribute query: a gap at
@@ -461,16 +525,16 @@ mod tests {
         let r = db.add(builder::unary("R", [1, 3, 5, 7])).unwrap();
         let s = db.add(builder::unary("S", [3, 4, 7, 9])).unwrap();
         let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
-        let mut stream = TupleStream::new(DbHandle::Borrowed(&db), q, ProbeMode::Chain, None);
+        let mut stream = whole(&db, &q, usize::MAX);
         assert_eq!(stream.next(), Some(vec![3]));
         let mid = stream.stats();
         assert_eq!(mid.outputs, 1);
         assert!(mid.find_gap_calls > 0, "mid-stream stats are live");
         assert_eq!(stream.next(), Some(vec![7]));
         assert_eq!(stream.next(), None);
-        assert!(stream.is_exhausted());
         assert_eq!(stream.next(), None, "fused after exhaustion");
-        assert_eq!(stream.outputs(), 2);
+        assert_eq!(stream.stats().outputs, 2);
+        assert!(stream.into_shard_stats(false).completed);
     }
 
     #[test]
@@ -484,14 +548,18 @@ mod tests {
             .add(builder::binary("S", (1..=n).map(|i| (n, 10 * i))))
             .unwrap();
         let q = Query::new(2).atom(r, &[0]).atom(s, &[0, 1]);
-        let mut stream =
-            TupleStream::new(DbHandle::Borrowed(&db), q.clone(), ProbeMode::Chain, None);
-        let first: Vec<Tuple> = stream.by_ref().take(1).collect();
-        assert_eq!(first.len(), 1);
+        let mut stream = whole(&db, &q, 1);
+        assert!(stream.next().is_some());
+        assert_eq!(stream.next(), None, "capped");
         let early = stream.stats();
-        let mut full = TupleStream::new(DbHandle::Borrowed(&db), q, ProbeMode::Chain, None);
-        let all: Vec<Tuple> = full.by_ref().collect();
+        // The evidence tuple exists, and its probe work stays unreported.
+        assert!(stream.evidence().is_some());
+        assert_eq!(stream.stats(), early);
+        assert!(!stream.into_shard_stats(false).completed);
+        let mut full = whole(&db, &q, usize::MAX);
+        let all: Vec<Tuple> = std::iter::from_fn(|| full.next()).collect();
         assert_eq!(all.len(), n as usize);
+        assert_eq!(full.evidence(), None, "the cap was never reached");
         let total = full.stats();
         assert!(
             early.probe_points * 8 < total.probe_points,

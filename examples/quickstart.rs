@@ -39,12 +39,15 @@ fn main() {
     // Plan once. The query is a path, hence β-acyclic: the planner picks a
     // nested elimination order and chain probe mode — the Õ(|C| + Z)
     // guarantee of Theorem 2.7.
+    let db = std::sync::Arc::new(db);
     let p = plan(&db, &query).unwrap();
     println!("{}\n", p.explain());
 
-    // Stream lazily: tuples arrive as the gap structure certifies them,
-    // and statistics are live mid-flight.
-    let mut stream = p.stream(&db).unwrap();
+    // Bind the plan to the database, then stream lazily: tuples arrive as
+    // the gap structure certifies them, and statistics are live
+    // mid-flight.
+    let bound = p.prepare_exec(&db).unwrap();
+    let mut stream = bound.open(&db, &Run::default());
     println!("output tuples (author, paper, reviewer):");
     if let Some(first) = stream.next() {
         println!(

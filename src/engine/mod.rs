@@ -15,7 +15,8 @@
 //!   [`PreparedStatement`] backed by a cache **keyed by query shape**
 //!   holding the parsed [`Query`], the [`Plan`], *and the GAO-re-indexed
 //!   relations* ([`minesweeper_core::PreparedExec`]) — repeated executions
-//!   skip straight to the probe loop, and the [`ExplainPlan`] reports the
+//!   skip straight to the probe loop, and the
+//!   [`minesweeper_core::ExplainPlan`] reports the
 //!   cache hit and a stable plan identity. Query literals (`F(a, "jfk")`)
 //!   become equality constraints **pre-seeded into the probe loop's CDS**,
 //!   so differently-parameterized statements of one shape share a single
@@ -69,28 +70,22 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use minesweeper_baselines::lookup_configured;
-use minesweeper_core::{
-    plan, shard_strategy, Atom, ExplainCache, ExplainPlan, ExplainShards, ExplainStorage,
-    MinesweeperPar, Plan, PreparedExec, Query, QueryError,
-};
+use minesweeper_core::{plan, Atom, Plan, PreparedExec, Query, QueryError};
 use minesweeper_durability::{
     Batch as WalBatch, CellOp, DurabilityCounters, DurabilityOptions, DurableStore, Opened,
     RelationDump, WalRecord,
 };
 use minesweeper_storage::{
-    value::MAX_DOMAIN_VALUE, ColumnType, Database, Dictionary, ExecStats, LeafPolicy, RelId,
-    RelationBuilder, StorageError, TrieRelation, Tuple, Val, Value, WriteOp, WriteOutcome,
+    value::MAX_DOMAIN_VALUE, ColumnType, Database, Dictionary, LeafPolicy, RelId, RelationBuilder,
+    StorageError, TrieRelation, Tuple, Val, Value, WriteOp, WriteOutcome,
 };
 
 use crate::text::{parse_query_ast, parse_typed_relation, QueryArg, TextError};
 
-/// Pipeline description shared by every sharded-execution explain (the
-/// `strategy` field carries the data-dependent variant; the `merge`
-/// field names the global-order reassembly).
-const SHARD_DETAIL: &str = "equi-depth shard tasks of the first GAO attribute (nested \
-                            second-attribute splits for heavy runs) on a work-stealing deque, \
-                            k-way heap merge keyed by GAO-translated tuples";
+mod statement;
+
+pub(crate) use statement::Remainder;
+pub use statement::{DispatchKind, PreparedStatement, StatementResult, StatementStream};
 
 /// Errors from the engine front door.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,8 +239,8 @@ pub struct ExecOptions {
     /// the exact serial prefix; baselines truncate after running to
     /// completion.
     pub limit: Option<usize>,
-    /// Attach [`ExecStats`] (and per-shard stats, when sharded) to the
-    /// result.
+    /// Attach [`minesweeper_storage::ExecStats`] (and per-shard stats,
+    /// when sharded) to the result.
     pub collect_stats: bool,
     /// Cancel execution at this instant. Streaming paths stop yielding
     /// (see [`StatementStream::deadline_expired`]) and materializing
@@ -287,12 +282,6 @@ impl ExecOptions {
         self.deadline = Some(deadline);
         self
     }
-}
-
-/// True when `deadline` is set and has passed. Callers poll this between
-/// tuples — `Instant::now()` is tens of nanoseconds, far below one probe.
-fn deadline_expired(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// One row-level write in an [`Engine::apply_batch`] batch, with typed
@@ -1225,11 +1214,6 @@ impl Engine {
         })
     }
 
-    /// One-shot convenience: prepare (against the cache) and execute.
-    pub fn execute(&self, text: &str, opts: &ExecOptions) -> Result<StatementResult, EngineError> {
-        self.prepare(text)?.execute(opts)
-    }
-
     /// Cache lookup / population for a structural query against one
     /// database snapshot. An entry hits only when the versions of every
     /// relation the shape touches still match `db` — a write to one of
@@ -1337,563 +1321,10 @@ fn shape_key(query: &Query) -> String {
     key
 }
 
-/// The materialized outcome of [`PreparedStatement::execute`].
-#[derive(Debug, Clone)]
-pub struct StatementResult {
-    /// Output column names (hidden literal positions excluded).
-    pub columns: Vec<String>,
-    /// Decoded rows.
-    pub rows: Vec<Vec<Value>>,
-    /// Execution counters, when [`ExecOptions::collect_stats`] was set.
-    pub stats: Option<ExecStats>,
-    /// Per-shard counters, when the sharded engine ran with stats.
-    pub shards: Option<Vec<minesweeper_core::ShardStats>>,
-    /// True when a `limit` actually cut materialized rows; a result that
-    /// merely equals the limit is complete and not flagged.
-    pub truncated: bool,
-}
-
-/// A prepared query handle (see [`Engine::prepare`]): parsing, planning,
-/// and any GAO re-indexing are already done and cached; `execute` /
-/// `stream` go straight to the probe loop. A statement owns `Arc`
-/// snapshots of the database and dictionary taken at prepare time, so any
-/// number can be live at once and **later writes never change what a
-/// statement returns** — snapshot isolation; re-prepare to observe a new
-/// version.
-pub struct PreparedStatement {
-    /// The database version this statement is bound to.
-    db: Arc<Database>,
-    /// Dictionary snapshot for decode (append-only, ≥ the db snapshot).
-    dict: Arc<Dictionary>,
-    entry: Arc<CachedStatement>,
-    attr_names: Vec<String>,
-    /// `visible[a]` = attribute `a` appears in the caller's output
-    /// (literal-bound positions are hidden).
-    visible: Vec<bool>,
-    /// Equality seeds `(attr, encoded value)` from query literals,
-    /// original numbering.
-    seeds: Vec<(usize, Val)>,
-    /// True when a string literal can never match any stored value in
-    /// this statement's snapshot (it was never interned): the statement's
-    /// result is empty without running anything.
-    vacuous: bool,
-    hit: bool,
-}
-
-impl PreparedStatement {
-    /// Output column names (hidden literal positions excluded).
-    pub fn columns(&self) -> Vec<String> {
-        self.attr_names
-            .iter()
-            .zip(&self.visible)
-            .filter(|&(_, &v)| v)
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
-
-    /// The cached plan.
-    pub fn plan(&self) -> &Plan {
-        &self.entry.plan
-    }
-
-    /// Stable identity of the cached plan: equal ids ⇒ the statements
-    /// share one plan and one set of re-indexed relations.
-    pub fn plan_id(&self) -> u64 {
-        self.entry.id
-    }
-
-    /// True when this statement was served from the engine's cache (its
-    /// plan and re-indexed relations were built by an earlier prepare).
-    pub fn cache_hit(&self) -> bool {
-        self.hit
-    }
-
-    /// True when every relation this statement touches still carries the
-    /// version it was prepared against in `db`. A service holding
-    /// statements across requests (the `PREPARE` verb) checks this before
-    /// each execution: a statement always answers from its own snapshot
-    /// (isolation), so a `false` here means re-preparing is required for
-    /// the execution to observe later writes.
-    pub fn is_current(&self, db: &Database) -> bool {
-        self.entry
-            .versions
-            .iter()
-            .all(|&(rel, version)| db.version(rel) == version)
-    }
-
-    /// The worker count `opts` resolves to: `Some(t)` when the sharded
-    /// engine will run with `t` workers (explicit `threads`, or
-    /// `minesweeper-par`'s hardware default), `None` for serial and
-    /// baseline execution. The CLI uses this instead of re-deriving
-    /// defaults.
-    pub fn effective_threads(&self, opts: &ExecOptions) -> Result<Option<usize>, EngineError> {
-        Ok(match self.dispatch(opts)? {
-            Dispatch::Parallel(t) => Some(t),
-            Dispatch::Serial | Dispatch::Baseline(_) => None,
-        })
-    }
-
-    /// The evaluator `opts` resolves to, as data: which engine runs, how
-    /// many workers, or which registry baseline. The CLI and the server
-    /// both branch on this (rather than re-deriving it from flag
-    /// combinations), and the server's admission control prices a
-    /// request by its [`DispatchKind::worker_cost`].
-    pub fn dispatch_kind(&self, opts: &ExecOptions) -> Result<DispatchKind, EngineError> {
-        Ok(match self.dispatch(opts)? {
-            Dispatch::Serial => DispatchKind::Serial,
-            Dispatch::Parallel(t) => DispatchKind::Parallel(t),
-            Dispatch::Baseline(a) => DispatchKind::Baseline(a.name().to_string()),
-        })
-    }
-
-    /// The structured explanation for an execution with `opts`: the
-    /// plan's decisions plus attribute/relation names, the shard strategy
-    /// (when `opts` selects the parallel engine), and the cache
-    /// provenance. Serialize with [`ExplainPlan::to_json`]; render with
-    /// [`ExplainPlan::render`].
-    ///
-    /// The shard strategy is data-dependent, so a parallel explain binds
-    /// the statement's execution (building the GAO re-index when the
-    /// plan demands one) to inspect the *actual* split. That bind fills
-    /// the same per-shape cache a later `execute` reuses — the cost is
-    /// paid at most once per query shape, not per explain.
-    pub fn explain(&self, opts: &ExecOptions) -> Result<ExplainPlan, EngineError> {
-        let dispatch = self.dispatch(opts)?;
-        let mut ep = self.entry.plan.explain_plan();
-        ep.attr_names = Some(self.attr_names.clone());
-        for (atom, ea) in self.entry.query.atoms.iter().zip(ep.atoms.iter_mut()) {
-            ea.relation = Some(self.db.relation(atom.rel).name().to_string());
-        }
-        ep.cache = Some(ExplainCache {
-            hit: self.hit,
-            plan_id: self.entry.id,
-        });
-        let (dense, words) = self
-            .entry
-            .query
-            .atoms
-            .iter()
-            .fold((0u64, 0u64), |(d, w), a| {
-                let t = self.db.probe_target(a.rel);
-                (d + t.dense_runs(), w + t.words_total())
-            });
-        ep.storage = Some(ExplainStorage {
-            leaf: self.db.leaf_policy().label().to_string(),
-            dense_leaves: dense,
-            bitset_words: words,
-        });
-        match dispatch {
-            Dispatch::Parallel(threads) => {
-                // The split is data-dependent, so the explain inspects
-                // the actual tasks the bound execution would run; the
-                // bind lands in the shared per-shape cache, so a later
-                // execute skips it.
-                let specs = self.entry.exec(&self.db).shard_specs(&self.db, threads);
-                ep.shards = Some(ExplainShards {
-                    threads,
-                    tasks: specs.len(),
-                    strategy: shard_strategy(&specs, threads).to_string(),
-                    merge: minesweeper_core::MERGE_STRATEGY.to_string(),
-                    detail: SHARD_DETAIL.to_string(),
-                });
-            }
-            Dispatch::Baseline(algo) => ep.algorithm = algo.name().to_string(),
-            Dispatch::Serial => {}
-        }
-        Ok(ep)
-    }
-
-    /// Resolves the evaluator `opts` selects.
-    fn dispatch(&self, opts: &ExecOptions) -> Result<Dispatch, EngineError> {
-        let threads = if opts.threads > 0 {
-            Some(opts.threads)
-        } else {
-            None
-        };
-        // Any explicit thread count — including 1 — selects the sharded
-        // engine, so callers asking for "the threaded engine, one worker"
-        // get real shard accounting rather than a silent serial fallback.
-        match opts.algo.as_deref() {
-            None => Ok(match threads {
-                Some(t) => Dispatch::Parallel(t),
-                None => Dispatch::Serial,
-            }),
-            Some(name) => {
-                let algo = lookup_configured(name, threads)
-                    .ok_or_else(|| EngineError::UnknownAlgorithm(name.to_string()))?;
-                Ok(match algo.name() {
-                    // The cached plan paths: the registry entries would
-                    // re-plan per call, the cache must not.
-                    "minesweeper" => match threads {
-                        Some(t) => Dispatch::Parallel(t),
-                        None => Dispatch::Serial,
-                    },
-                    "minesweeper-par" => Dispatch::Parallel(
-                        threads.unwrap_or_else(|| MinesweeperPar::default().threads),
-                    ),
-                    _ => Dispatch::Baseline(algo),
-                })
-            }
-        }
-    }
-
-    /// Decodes one stored tuple into the visible, typed output row.
-    fn decode_row(&self, t: &[Val]) -> Vec<Value> {
-        decode(&self.dict, &self.entry.attr_types, &self.visible, t)
-    }
-
-    /// True when `t` satisfies every literal seed (baseline evaluators
-    /// run the unconstrained shape and are filtered here).
-    fn matches_seeds(&self, t: &[Val]) -> bool {
-        self.seeds.iter().all(|&(a, v)| t[a] == v)
-    }
-
-    /// Runs the statement to completion (modulo `limit`) and decodes the
-    /// result. Rows are sorted lexicographically in the query's attribute
-    /// order — for every evaluator, so results are directly comparable
-    /// across `algo` choices.
-    pub fn execute(&self, opts: &ExecOptions) -> Result<StatementResult, EngineError> {
-        let entry = &self.entry;
-        let db = &self.db;
-        if deadline_expired(opts.deadline) {
-            return Err(EngineError::DeadlineExceeded);
-        }
-        if self.vacuous {
-            let _ = self.dispatch(opts)?; // still surface unknown-algo errors
-            return Ok(StatementResult {
-                columns: self.columns(),
-                rows: Vec::new(),
-                stats: opts.collect_stats.then(ExecStats::new),
-                shards: None,
-                truncated: false,
-            });
-        }
-        let (tuples, stats, shards, truncated) = match self.dispatch(opts)? {
-            Dispatch::Serial => match opts.limit {
-                None if opts.deadline.is_none() => {
-                    let exec = entry.exec(db).execute_seeded(db, &self.seeds);
-                    (exec.result.tuples, exec.result.stats, None, false)
-                }
-                None => {
-                    // Deadline-aware materialization: collect from the
-                    // lazy stream (checking the clock between tuples) and
-                    // sort — the same set of tuples `execute_seeded`
-                    // materializes, in the same final order, but it can
-                    // stop mid-probe instead of running to completion.
-                    let mut stream = entry.exec(db).stream_seeded(db, &self.seeds);
-                    let mut tuples: Vec<Tuple> = Vec::new();
-                    loop {
-                        if deadline_expired(opts.deadline) {
-                            return Err(EngineError::DeadlineExceeded);
-                        }
-                        match stream.next() {
-                            Some(t) => tuples.push(t),
-                            None => break,
-                        }
-                    }
-                    let stats = stream.stats();
-                    tuples.sort_unstable();
-                    (tuples, stats, None, false)
-                }
-                Some(k) => {
-                    // Limit pushdown: the probe loop stops after k
-                    // certified tuples (plus one peek for the truncation
-                    // flag); the suffix's certificate work is never paid.
-                    // Stats are snapshotted before the peek so they
-                    // reflect only the shown prefix.
-                    let mut stream = entry.exec(db).stream_seeded(db, &self.seeds);
-                    let mut tuples: Vec<Tuple> = Vec::with_capacity(k.min(1 << 12));
-                    while tuples.len() < k {
-                        if deadline_expired(opts.deadline) {
-                            return Err(EngineError::DeadlineExceeded);
-                        }
-                        match stream.next() {
-                            Some(t) => tuples.push(t),
-                            None => break,
-                        }
-                    }
-                    let stats = stream.stats();
-                    let truncated = stream.next().is_some();
-                    tuples.sort_unstable();
-                    (tuples, stats, None, truncated)
-                }
-            },
-            Dispatch::Parallel(threads) if opts.deadline.is_none() => {
-                let sharded =
-                    entry
-                        .exec(db)
-                        .execute_parallel_seeded(db, threads, opts.limit, &self.seeds);
-                let truncated = sharded.truncated;
-                (
-                    sharded.result.tuples,
-                    sharded.result.stats,
-                    Some(sharded.shards),
-                    truncated,
-                )
-            }
-            Dispatch::Parallel(threads) => {
-                // Deadline-aware parallel materialization through the
-                // global-order merge; on expiry the early return drops
-                // the sharded stream, which cancels queued and in-flight
-                // shard tasks exactly like a client disconnect.
-                let mut stream =
-                    entry
-                        .exec(db)
-                        .stream_parallel_seeded(db, threads, opts.limit, &self.seeds);
-                let cap = opts.limit.unwrap_or(usize::MAX);
-                let mut tuples: Vec<Tuple> = Vec::new();
-                while tuples.len() < cap {
-                    if deadline_expired(opts.deadline) {
-                        return Err(EngineError::DeadlineExceeded);
-                    }
-                    match stream.next() {
-                        Some(t) => tuples.push(t),
-                        None => break,
-                    }
-                }
-                let truncated = opts.limit.is_some_and(|k| tuples.len() == k) && stream.truncated();
-                let report = stream.finish();
-                tuples.sort_unstable();
-                (tuples, report.stats, Some(report.shards), truncated)
-            }
-            Dispatch::Baseline(algo) => {
-                let res = algo.run(db, &entry.query)?;
-                // Baselines are all-at-once evaluators with no yield
-                // points; the deadline is honoured at completion.
-                if deadline_expired(opts.deadline) {
-                    return Err(EngineError::DeadlineExceeded);
-                }
-                let mut tuples: Vec<Tuple> = res
-                    .tuples
-                    .into_iter()
-                    .filter(|t| self.matches_seeds(t))
-                    .collect();
-                let total = tuples.len();
-                if let Some(k) = opts.limit {
-                    tuples.truncate(k);
-                }
-                let truncated = total > tuples.len();
-                (tuples, res.stats, None, truncated)
-            }
-        };
-        Ok(StatementResult {
-            columns: self.columns(),
-            rows: tuples.iter().map(|t| self.decode_row(t)).collect(),
-            stats: opts.collect_stats.then_some(stats),
-            shards: if opts.collect_stats { shards } else { None },
-            truncated,
-        })
-    }
-
-    /// Opens a decoded stream over the statement.
-    ///
-    /// With the serial Minesweeper engine the stream is **lazy**: rows
-    /// are yielded as the probe loop certifies them (global attribute
-    /// order), and dropping the stream early skips the remaining
-    /// certificate work. With the parallel engine the stream is
-    /// **incremental**: shard tasks run on background workers feeding
-    /// bounded channels into a global-order heap merge, rows arrive
-    /// **byte-identical to the serial stream's sequence** (re-indexed
-    /// GAO or not), and dropping the stream cancels queued and in-flight
-    /// shards — `--limit` and `--threads` compose exactly. Baselines
-    /// materialize eagerly and the stream then yields the rows. Either
-    /// way `opts.limit` caps the yielded rows.
-    pub fn stream(&self, opts: &ExecOptions) -> Result<StatementStream<'_>, EngineError> {
-        let inner = if self.vacuous {
-            let _ = self.dispatch(opts)?;
-            StreamInner::Materialized(Vec::new().into_iter(), ExecStats::new())
-        } else {
-            match self.dispatch(opts)? {
-                Dispatch::Serial => StreamInner::Lazy(
-                    self.entry
-                        .exec(&self.db)
-                        .stream_seeded(&self.db, &self.seeds),
-                ),
-                Dispatch::Parallel(threads) => {
-                    StreamInner::Sharded(self.entry.exec(&self.db).stream_parallel_seeded(
-                        &self.db,
-                        threads,
-                        opts.limit,
-                        &self.seeds,
-                    ))
-                }
-                Dispatch::Baseline(algo) => {
-                    let res = algo.run(&self.db, &self.entry.query)?;
-                    let tuples: Vec<Tuple> = res
-                        .tuples
-                        .into_iter()
-                        .filter(|t| self.matches_seeds(t))
-                        .collect();
-                    StreamInner::Materialized(tuples.into_iter(), res.stats)
-                }
-            }
-        };
-        Ok(StatementStream {
-            dict: Arc::clone(&self.dict),
-            entry: Arc::clone(&self.entry),
-            visible: self.visible.clone(),
-            inner,
-            remaining: opts.limit.unwrap_or(usize::MAX),
-            deadline: opts.deadline,
-            expired: false,
-        })
-    }
-}
-
-/// Shared row decode used by statements and streams.
-fn decode(dict: &Dictionary, attr_types: &[ColumnType], visible: &[bool], t: &[Val]) -> Vec<Value> {
-    t.iter()
-        .enumerate()
-        .filter(|&(a, _)| visible[a])
-        .map(|(a, &v)| match attr_types[a] {
-            ColumnType::Int => Value::Int(v),
-            ColumnType::Str => Value::Str(
-                dict.resolve(v)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("#{v}")),
-            ),
-        })
-        .collect()
-}
-
-/// The evaluator an [`ExecOptions`] resolves to.
-enum Dispatch {
-    Serial,
-    Parallel(usize),
-    Baseline(Box<dyn minesweeper_core::Algorithm>),
-}
-
-/// The public form of the dispatch decision (see
-/// [`PreparedStatement::dispatch_kind`]): which evaluator an
-/// [`ExecOptions`] selects for a statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DispatchKind {
-    /// The serial Minesweeper probe loop on the cached plan.
-    Serial,
-    /// The sharded parallel engine with this many workers.
-    Parallel(usize),
-    /// A registry baseline, by canonical name.
-    Baseline(String),
-}
-
-impl DispatchKind {
-    /// How many pool workers the request occupies while it runs — what
-    /// the server's admission control debits from its global budget. A
-    /// serial or baseline execution costs one worker; a parallel one
-    /// costs its thread count.
-    pub fn worker_cost(&self) -> usize {
-        match self {
-            DispatchKind::Parallel(t) => (*t).max(1),
-            DispatchKind::Serial | DispatchKind::Baseline(_) => 1,
-        }
-    }
-}
-
-enum StreamInner<'e> {
-    Lazy(minesweeper_core::TupleStream<'e>),
-    Sharded(minesweeper_core::ShardedStream),
-    Materialized(std::vec::IntoIter<Tuple>, ExecStats),
-}
-
-/// A decoded row stream (see [`PreparedStatement::stream`]). The lifetime
-/// ties lazy serial streams to the statement's database snapshot; the
-/// dictionary snapshot is owned, so decoding never takes a lock.
-pub struct StatementStream<'e> {
-    dict: Arc<Dictionary>,
-    entry: Arc<CachedStatement>,
-    visible: Vec<bool>,
-    inner: StreamInner<'e>,
-    remaining: usize,
-    /// Clock bound from [`ExecOptions::deadline`], checked before every
-    /// yield; once it passes, the stream reports exhaustion and
-    /// [`StatementStream::deadline_expired`] turns true.
-    deadline: Option<Instant>,
-    expired: bool,
-}
-
-impl StatementStream<'_> {
-    /// Execution counters so far (live mid-stream on the lazy path; the
-    /// sum over finished shards on the parallel path — use
-    /// [`StatementStream::finish`] for final, stable parallel counters;
-    /// complete from the start on materialized paths).
-    pub fn stats(&self) -> ExecStats {
-        match &self.inner {
-            StreamInner::Lazy(s) => s.stats(),
-            StreamInner::Sharded(s) => s.stats(),
-            StreamInner::Materialized(_, stats) => stats.clone(),
-        }
-    }
-
-    /// True when the stream stopped because its deadline passed rather
-    /// than because the result (or its `limit`) was exhausted. Callers
-    /// that saw `next()` return `None` branch on this to tell a complete
-    /// body from a cancelled one.
-    pub fn deadline_expired(&self) -> bool {
-        self.expired
-    }
-
-    /// After the stream has yielded its `limit` rows, reports whether at
-    /// least one more row existed — the truthfulness check behind the
-    /// CLI's truncation marker. Bypasses the limit to probe exactly one
-    /// tuple further (parallel workers emit one tuple of truncation
-    /// evidence beyond the cap for exactly this call).
-    pub fn truncated(&mut self) -> bool {
-        match &mut self.inner {
-            StreamInner::Lazy(s) => s.next().is_some(),
-            StreamInner::Sharded(s) => s.truncated(),
-            StreamInner::Materialized(it, _) => it.next().is_some(),
-        }
-    }
-
-    /// Consumes the stream and returns final counters: on the parallel
-    /// path this cancels outstanding shard work, joins the workers, and
-    /// returns the complete per-shard breakdown; other paths return
-    /// their counters with no shard list.
-    pub fn finish(self) -> (ExecStats, Option<Vec<minesweeper_core::ShardStats>>) {
-        match self.inner {
-            StreamInner::Lazy(s) => (s.stats(), None),
-            StreamInner::Sharded(s) => {
-                let report = s.finish();
-                (report.stats, Some(report.shards))
-            }
-            StreamInner::Materialized(_, stats) => (stats, None),
-        }
-    }
-}
-
-impl Iterator for StatementStream<'_> {
-    type Item = Vec<Value>;
-
-    fn next(&mut self) -> Option<Vec<Value>> {
-        if self.remaining == 0 || self.expired {
-            return None;
-        }
-        if deadline_expired(self.deadline) {
-            // The underlying stream is simply never pulled again; when
-            // it drops (or `finish` consumes it), queued and in-flight
-            // shard work is cancelled — the disconnect path's machinery,
-            // triggered by the clock instead of a failed write.
-            self.expired = true;
-            return None;
-        }
-        self.remaining -= 1;
-        let t = match &mut self.inner {
-            StreamInner::Lazy(s) => s.next()?,
-            StreamInner::Sharded(s) => s.next()?,
-            StreamInner::Materialized(it, _) => it.next()?,
-        };
-        Some(decode(
-            &self.dict,
-            &self.entry.attr_types,
-            &self.visible,
-            &t,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minesweeper_core::ExplainCache;
 
     fn flights_engine() -> Engine {
         let mut e = Engine::new();
@@ -2096,11 +1527,11 @@ mod tests {
             .execute(&ExecOptions::default().with_algo("quantum"))
             .unwrap_err();
         assert!(matches!(err, EngineError::UnknownAlgorithm(_)));
-        assert_eq!(
-            stmt.effective_threads(&ExecOptions::default().with_algo("minesweeper-par"))
-                .unwrap()
-                .map(|t| t >= 1),
-            Some(true),
+        assert!(
+            matches!(
+                stmt.dispatch_kind(&ExecOptions::default().with_algo("minesweeper-par")),
+                Ok(DispatchKind::Parallel(t)) if t >= 1
+            ),
             "minesweeper-par resolves to a concrete worker count"
         );
     }

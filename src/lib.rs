@@ -47,13 +47,15 @@
 //!
 //! Underneath sits the plan/execute split: [`core::plan()`] makes every
 //! decision that doesn't touch tuples (GAO choice, probe mode, re-index
-//! mapping) and returns a reusable [`core::Plan`]; [`core::Plan::stream`]
-//! opens a lazy [`core::TupleStream`] that yields tuples as they are
-//! certified — stop after `k` tuples and the remaining certificate work is
-//! never paid. [`core::execute()`] is the materialize-everything wrapper,
-//! [`core::Plan::execute_parallel`] its sharded multi-threaded twin, and
-//! [`core::ShardedStream`] the incremental parallel form (background
-//! workers, bounded channels, early cancellation).
+//! mapping) and returns a reusable [`core::Plan`];
+//! [`core::Plan::prepare_exec`] binds it to a database, and
+//! [`core::PreparedExec::open`] is the one way to run it — a lazy
+//! [`core::ExecStream`] that yields tuples as they are certified: stop
+//! after `k` tuples and the remaining certificate work is never paid. A
+//! [`core::Run`] restricts the same stream (a limit, literal seeds) or
+//! asks for shard workers feeding it in the identical order;
+//! [`core::PreparedExec::execute`], [`core::Plan::execute`] and
+//! [`core::execute()`] drain it.
 //!
 //! ```
 //! use minesweeper_join::prelude::*;
@@ -67,9 +69,11 @@
 //! // The bow-tie query R(X) ⋈ S(X,Y) ⋈ T(Y); attributes are GAO positions.
 //! let q = Query::new(2).atom(r, &[0]).atom(s, &[0, 1]).atom(t, &[1]);
 //!
-//! // Plan once (β-acyclic ⇒ chain mode), then stream lazily …
+//! // Plan once (β-acyclic ⇒ chain mode), bind, then stream lazily …
+//! let db = std::sync::Arc::new(db);
 //! let p = plan(&db, &q).unwrap();
-//! let mut stream = p.stream(&db).unwrap();
+//! let exec = p.prepare_exec(&db).unwrap();
+//! let mut stream = exec.open(&db, &Run::default());
 //! assert_eq!(stream.next(), Some(vec![1, 5]));
 //! // … statistics are live mid-stream (FindGap count ≈ the paper's |C|):
 //! assert!(stream.stats().find_gap_calls < 40);
@@ -128,7 +132,7 @@ pub use minesweeper_workloads as workloads;
 /// The most common imports in one place: the engine front door
 /// ([`engine::Engine`], [`engine::PreparedStatement`],
 /// [`engine::ExecOptions`]), the plan/stream API ([`core::plan()`],
-/// [`core::Plan`], [`core::TupleStream`]), the [`core::Algorithm`] trait
+/// [`core::Plan`], [`core::ExecStream`]), the [`core::Algorithm`] trait
 /// with its baselines registry ([`baselines::registry::lookup`]), and the
 /// storage/CDS types they rely on.
 pub mod prelude {
@@ -137,9 +141,8 @@ pub mod prelude {
     pub use minesweeper_cds::{Constraint, ConstraintTree, IntervalSet, Pattern, ProbeMode};
     pub use minesweeper_core::{
         bowtie_join, canonical_certificate_size, choose_gao, execute, minesweeper_join, naive_join,
-        plan, reindex_for_gao, set_intersection, triangle_join, Algorithm, Execution, ExplainPlan,
-        JoinResult, Plan, PreparedExec, PreparedPlan, Query, ShardStats, ShardedExecution,
-        ShardedPlan, ShardedStream, TupleStream,
+        plan, reindex_for_gao, set_intersection, triangle_join, Algorithm, ExecStream, Execution,
+        ExplainPlan, JoinResult, Plan, PreparedExec, Query, Run, ShardStats,
     };
     pub use minesweeper_storage::{
         builder, ColumnType, Database, Dictionary, ExecStats, GapCursor, RelId, ShardBounds,
@@ -167,8 +170,10 @@ mod tests {
         let a = db.add(builder::unary("A", [1, 2, 3])).unwrap();
         let b = db.add(builder::unary("B", [2, 3, 4])).unwrap();
         let q = Query::new(1).atom(a, &[0]).atom(b, &[0]);
+        let db = std::sync::Arc::new(db);
         let p: Plan = plan(&db, &q).unwrap();
-        let first: Vec<_> = p.stream(&db).unwrap().take(1).collect();
+        let bound: PreparedExec = p.prepare_exec(&db).unwrap();
+        let first: Vec<_> = bound.open(&db, &Run::default()).take(1).collect();
         assert_eq!(first, vec![vec![2]]);
         let exec: Execution = p.execute(&db).unwrap();
         assert_eq!(exec.result.tuples, vec![vec![2], vec![3]]);

@@ -9,18 +9,24 @@
 //! options; rather than asserting that equivalence across two
 //! implementations, this module is the single implementation both call.
 //!
-//! [`write_body`] reproduces the dispatch-dependent output shapes:
+//! [`write_body`] is one loop over the statement's stream — header, rows,
+//! marker, final accounting — whatever evaluator and worker count the
+//! options select:
 //!
-//! * **serial engine, no limit** — materialized sorted rows;
-//! * **serial engine, `limit k`** — the lazy stream's first `k` tuples
-//!   (global attribute order) plus `# … output truncated at k` when more
-//!   existed, the suffix's probe work never paid;
-//! * **parallel engine (`threads > 0`)** — identical bytes to the serial
-//!   engine in both modes, by the global-order merge's contract; under a
-//!   limit the remaining shard work is **cancelled**;
-//! * **registry baseline** — materialized sorted rows with the
-//!   `# … N more` marker (baselines run to completion, so the exact
-//!   remainder is known).
+//! * **no limit** — the stream is materialized first, so rows go out
+//!   sorted in the query's attribute order (identical bytes for every
+//!   evaluator and thread count) and an expired deadline is an error
+//!   before the first byte;
+//! * **`limit k`** — the live stream's first `k` rows in global attribute
+//!   order (the parallel engine's merge yields the same prefix and then
+//!   **cancels** the remaining shard work), the suffix's probe work never
+//!   paid.
+//!
+//! The one evaluator-dependent thing is the wording of the truncation
+//! marker: `# … output truncated at k` from the Minesweeper engines, which
+//! stop at the limit and know only that more existed, and `# … N more`
+//! from a registry baseline, which ran to completion and knows the exact
+//! remainder.
 //!
 //! Writes are checked: a consumer that goes away (a closed pipe, a
 //! disconnected client) surfaces as an [`io::Error`], upon which the
@@ -34,7 +40,7 @@ use minesweeper_baselines::lookup;
 use minesweeper_core::{json_string, ShardStats};
 use minesweeper_storage::{ExecStats, Value};
 
-use crate::engine::{DispatchKind, EngineError, ExecOptions, PreparedStatement};
+use crate::engine::{DispatchKind, EngineError, ExecOptions, PreparedStatement, Remainder};
 
 /// What [`write_body`] did: how many data rows went out, whether the
 /// consumer disconnected mid-stream (the body is then a prefix), and the
@@ -54,7 +60,7 @@ pub struct BodyOutcome {
     /// True when the request's deadline ([`ExecOptions::deadline`])
     /// passed mid-stream: the body is a prefix, the remaining work was
     /// cancelled server-side, and the caller owes the consumer an
-    /// `ERR DEADLINE` terminator instead of `OK`. Materializing paths
+    /// `ERR DEADLINE` terminator instead of `OK`. Unlimited requests
     /// never set this — they surface expiry as
     /// [`EngineError::DeadlineExceeded`] before any byte is written.
     pub deadline_exceeded: bool,
@@ -67,126 +73,44 @@ fn row_text(row: &[Value]) -> String {
 }
 
 /// Writes the full result body for `stmt` under `opts` (see the module
-/// docs for the shapes). Execution errors are returned; consumer
-/// disconnects are reported in the outcome.
+/// docs). Execution errors are returned; consumer disconnects are
+/// reported in the outcome.
 pub fn write_body(
     out: &mut impl Write,
     stmt: &PreparedStatement,
     opts: &ExecOptions,
 ) -> Result<BodyOutcome, EngineError> {
-    let kind = stmt.dispatch_kind(opts)?;
-    // Counters are cheap and callers (server metrics, `--stats`) always
-    // want them; the body bytes do not depend on this flag.
-    let mut run_opts = opts.clone();
-    run_opts.collect_stats = true;
-
-    match kind {
-        DispatchKind::Baseline(_) => {
-            // Baselines materialize everything; the display limit is
-            // applied afterwards, so the exact remainder is known.
-            let display_limit = run_opts.limit;
-            run_opts.limit = None;
-            let result = stmt.execute(&run_opts)?;
-            let shown = display_limit.unwrap_or(usize::MAX).min(result.rows.len());
-            let mut w = CheckedWriter::new(out);
-            w.line(format_args!("# {}", result.columns.join("\t")));
-            for r in &result.rows[..shown] {
-                w.data_line(format_args!("{}", row_text(r)));
-            }
-            if result.rows.len() > shown {
-                w.line(format_args!("# … {} more", result.rows.len() - shown));
-            }
-            Ok(BodyOutcome {
-                rows: w.rows,
-                disconnected: w.disconnected,
-                stats: result.stats.unwrap_or_default(),
-                shards: None,
-                deadline_exceeded: false,
-            })
-        }
-        DispatchKind::Parallel(_) if run_opts.limit.is_some() => {
-            let k = run_opts.limit.expect("guarded");
-            // The incremental parallel stream: the global-order heap
-            // merge yields the serial stream's exact prefix; the stream
-            // itself enforces the cap and cancels remaining shards.
-            let mut stream = stmt.stream(&run_opts)?;
-            let mut w = CheckedWriter::new(out);
-            w.line(format_args!("# {}", stmt.columns().join("\t")));
-            let mut yielded = 0usize;
-            while !w.disconnected && yielded < k {
-                let Some(row) = stream.next() else { break };
-                w.data_line(format_args!("{}", row_text(&row)));
-                yielded += 1;
-            }
-            // A deadline that passed mid-stream ends the body here: no
-            // truncation marker (the body is not a truthful `limit` cut),
-            // just a prefix the session terminates with `ERR DEADLINE`.
-            let deadline_exceeded = stream.deadline_expired();
-            if !w.disconnected && !deadline_exceeded && yielded == k && stream.truncated() {
-                w.line(format_args!("# … output truncated at {k}"));
-            }
-            // Join the workers (cancelling any still outstanding — the
-            // disconnect and deadline paths) so the counters are final
-            // and stable.
-            let (stats, shards) = stream.finish();
-            Ok(BodyOutcome {
-                rows: yielded,
-                disconnected: w.disconnected,
-                stats,
-                shards,
-                deadline_exceeded,
-            })
-        }
-        DispatchKind::Serial if run_opts.limit.is_some() => {
-            let k = run_opts.limit.expect("guarded");
-            // Limit pushdown: stream without a cap, take `k`, and probe
-            // exactly one tuple further for the truncation marker. The
-            // stats snapshot happens before the peek so counters reflect
-            // only the shown prefix — the CLI's historical contract.
-            let stream_opts = ExecOptions {
-                limit: None,
-                ..run_opts.clone()
-            };
-            let mut stream = stmt.stream(&stream_opts)?;
-            let mut w = CheckedWriter::new(out);
-            w.line(format_args!("# {}", stmt.columns().join("\t")));
-            let mut yielded = 0usize;
-            while !w.disconnected && yielded < k {
-                let Some(row) = stream.next() else { break };
-                w.data_line(format_args!("{}", row_text(&row)));
-                yielded += 1;
-            }
-            let stats = stream.stats();
-            let deadline_exceeded = stream.deadline_expired();
-            if !w.disconnected && !deadline_exceeded && yielded == k && stream.next().is_some() {
-                w.line(format_args!("# … output truncated at {k}"));
-            }
-            Ok(BodyOutcome {
-                rows: yielded,
-                disconnected: w.disconnected,
-                stats,
-                shards: None,
-                deadline_exceeded,
-            })
-        }
-        DispatchKind::Serial | DispatchKind::Parallel(_) => {
-            // No limit: materialize (sorted in the query's attribute
-            // order — identical bytes for both engines).
-            let result = stmt.execute(&run_opts)?;
-            let mut w = CheckedWriter::new(out);
-            w.line(format_args!("# {}", result.columns.join("\t")));
-            for r in &result.rows {
-                w.data_line(format_args!("{}", row_text(r)));
-            }
-            Ok(BodyOutcome {
-                rows: w.rows,
-                disconnected: w.disconnected,
-                stats: result.stats.unwrap_or_default(),
-                shards: result.shards,
-                deadline_exceeded: false,
-            })
+    let mut stream = stmt.open(opts, opts.limit.is_none())?;
+    let mut w = CheckedWriter::new(out);
+    w.line(format_args!("# {}", stmt.columns().join("\t")));
+    while !w.disconnected {
+        let Some(row) = stream.next() else { break };
+        w.data_line(format_args!("{}", row_text(&row)));
+    }
+    // A deadline that passed mid-stream ends the body here: no truncation
+    // marker (the body is not a truthful `limit` cut), just a prefix the
+    // session terminates with `ERR DEADLINE`.
+    let deadline_exceeded = stream.deadline_expired();
+    if !w.disconnected && !deadline_exceeded {
+        let shown = w.rows;
+        match stream.remainder() {
+            Remainder::None => {}
+            Remainder::Exactly(n) => w.line(format_args!("# … {n} more")),
+            Remainder::AtLeastOne => w.line(format_args!("# … output truncated at {shown}")),
         }
     }
+    // Ends the run (cancelling and joining any shard workers still
+    // outstanding — the disconnect and deadline paths), so the counters
+    // are final: the work actually performed, the truncation probe
+    // excluded.
+    let (stats, shards) = stream.finish();
+    Ok(BodyOutcome {
+        rows: w.rows,
+        disconnected: w.disconnected,
+        stats,
+        shards,
+        deadline_exceeded,
+    })
 }
 
 /// Writes the explain output for `stmt` under `opts` — the `--explain`
@@ -260,16 +184,10 @@ impl<'w, W: Write> CheckedWriter<'w, W> {
         }
     }
 
-    /// Writes one data row, counting it.
+    /// Writes one data row, counting it when it went out.
     fn data_line(&mut self, line: std::fmt::Arguments<'_>) {
-        if self.disconnected {
-            return;
-        }
-        if writeln!(self.out, "{line}").is_err() {
-            self.disconnected = true;
-        } else {
-            self.rows += 1;
-        }
+        self.line(line);
+        self.rows += usize::from(!self.disconnected);
     }
 }
 

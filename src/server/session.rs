@@ -49,7 +49,7 @@ use super::protocol::{
     err_line, ok_line, parse_request, ExplainFormat, Request, WriteAction, BODY_PREFIX, CODE_PROTO,
 };
 use super::Shared;
-use crate::engine::{Engine, EngineError, ExecOptions, PreparedStatement};
+use crate::engine::{DispatchKind, Engine, EngineError, ExecOptions, PreparedStatement};
 
 /// How often a blocked read wakes up to poll the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
@@ -341,6 +341,12 @@ fn execute_statement(
             return Ok(true);
         }
     };
+    // A request may name any worker count, but it runs with — and is
+    // charged for — at most the whole budget: `acquire` clamps the cost
+    // the same way, so the permits debited are the workers spawned.
+    if let DispatchKind::Parallel(threads) = kind {
+        opts.threads = threads.min(shared.budget.budget());
+    }
     let permit = shared.budget.acquire(kind.worker_cost());
 
     let outcome = {

@@ -468,18 +468,12 @@ pub fn parse_query(text: &str, db: &Database) -> Result<ParsedQuery, TextError> 
     Ok(ParsedQuery { attr_names, query })
 }
 
-/// Renders a [`Plan`] with the caller's relation and attribute names — the
-/// CLI's `--explain` output, built by filling names into the structured
-/// [`minesweeper_core::ExplainPlan`] and rendering it. `attr_names[i]`
-/// names GAO position `i` of the *original* numbering (as produced by
-/// [`parse_query`]).
-pub fn render_plan(db: &Database, plan: &Plan, attr_names: &[String]) -> String {
-    named_explain_plan(db, plan, attr_names).render()
-}
-
-/// The structured form behind [`render_plan`]: the plan's
-/// [`minesweeper_core::ExplainPlan`] with relation and attribute names
-/// filled in from the caller's catalog.
+/// A [`Plan`]'s [`minesweeper_core::ExplainPlan`] with relation and
+/// attribute names filled in from the caller's catalog — the one source of
+/// explain text: the engine adds execution context to it, and
+/// `.render()` / `.to_json()` are the CLI's `--explain` outputs.
+/// `attr_names[i]` names GAO position `i` of the *original* numbering (as
+/// produced by [`parse_query`]).
 pub fn named_explain_plan(
     db: &Database,
     plan: &Plan,
@@ -693,14 +687,14 @@ mod tests {
         db.add(parse_relation("S", "10 5\n").unwrap()).unwrap();
         let pq = parse_query("R(x, y), S(y, z)", &db).unwrap();
         let plan = minesweeper_core::plan(&db, &pq.query).unwrap();
-        let text = render_plan(&db, &plan, &pq.attr_names);
+        let ep = named_explain_plan(&db, &plan, &pq.attr_names);
+        let text = ep.render();
         assert!(text.contains("R(x, y) ⋈ S(y, z)"), "{text}");
         assert!(text.contains("probe mode"), "{text}");
         assert!(text.contains("runtime bound"), "{text}");
         // GAO line shows names, not positions.
         assert!(text.lines().any(|l| l.starts_with("gao: ")), "{text}");
         // The structured form carries the same names.
-        let ep = named_explain_plan(&db, &plan, &pq.attr_names);
         assert_eq!(ep.atoms[0].relation.as_deref(), Some("R"));
         assert!(ep.to_json().contains("\"attr_names\":[\"x\",\"y\",\"z\"]"));
     }

@@ -398,3 +398,223 @@ proptest! {
         prop_assert_eq!(&got, &relabelled, "decoded order mirrors the encoded order");
     }
 }
+
+// ------------------------------------------------ the equivalence matrix
+//
+// One table pins that every way of running a statement — materialized
+// `execute`, the decoded `stream`, and the rendered body — is the same
+// evaluation under every option combination the front doors can express.
+
+/// Output rows as text cells, the common currency of the three paths.
+fn text_rows(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|r| r.iter().map(|v| v.to_string()).collect())
+        .collect()
+}
+
+/// Splits a rendered body into its data rows and its `# …` marker line.
+fn parse_body(body: &str) -> (Vec<Vec<String>>, Option<String>) {
+    let mut lines = body.lines();
+    assert!(lines.next().is_some_and(|h| h.starts_with('#')), "{body}");
+    let mut rows = Vec::new();
+    let mut marker = None;
+    for line in lines {
+        if line.starts_with("# …") {
+            assert!(marker.replace(line.to_string()).is_none(), "{body}");
+        } else {
+            assert!(marker.is_none(), "the marker is the last line: {body}");
+            rows.push(line.split('\t').map(str::to_string).collect());
+        }
+    }
+    (rows, marker)
+}
+
+fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+    v.sort();
+    v
+}
+
+fn matrix_engine() -> Engine {
+    let ints = |rows: Vec<Vec<i64>>| {
+        rows.into_iter()
+            .map(|r| r.into_iter().map(Value::Int).collect())
+    };
+    let mut e = Engine::new();
+    e.add_relation(
+        "A",
+        &[ColumnType::Int],
+        ints((0..40).map(|i| vec![i]).collect()),
+    )
+    .unwrap();
+    e.add_relation(
+        "B",
+        &[ColumnType::Int],
+        ints((0..40).map(|i| vec![3 * i]).collect()),
+    )
+    .unwrap();
+    // Example B.7's shape: the written (a, b, c) order is not a NEO.
+    let grid = || (1..=6).flat_map(|a| (1..=6).map(move |b| (a, b)));
+    e.add_relation(
+        "R",
+        &[ColumnType::Int; 3],
+        ints(grid().map(|(a, b)| vec![a, b, (a * b) % 4 + 1]).collect()),
+    )
+    .unwrap();
+    e.add_relation(
+        "S",
+        &[ColumnType::Int; 2],
+        ints(
+            (1..=6)
+                .flat_map(|a| (1..=4).map(move |c| vec![a, c]))
+                .collect(),
+        ),
+    )
+    .unwrap();
+    e.add_relation(
+        "T",
+        &[ColumnType::Int; 2],
+        ints((1..=6).flat_map(|b| [vec![b, 1], vec![b, 3]]).collect()),
+    )
+    .unwrap();
+    e.add_relation(
+        "G",
+        &[ColumnType::Str, ColumnType::Str],
+        [vec![sv("ash"), sv("tree")], vec![sv("fir"), sv("tree")]],
+    )
+    .unwrap();
+    e
+}
+
+#[test]
+fn execute_stream_and_body_agree_across_the_option_matrix() {
+    use minesweeper_join::render::{body_string, write_body};
+    use std::time::{Duration, Instant};
+
+    let e = matrix_engine();
+    // (query, must re-index?)
+    let queries = [
+        ("A(x), B(x)", false),
+        ("R(a, b, c), S(a, c), T(b, c)", true),
+        ("R(a, b, 3), T(b, 3)", true),
+        ("G(n, \"never-seen\")", false),
+    ];
+    type Mode = fn(ExecOptions) -> ExecOptions;
+    let modes: [(&str, Mode); 4] = [
+        ("serial", |o| o),
+        ("threads=1", |o| o.with_threads(1)),
+        ("threads=4", |o| o.with_threads(4)),
+        ("algo=leapfrog", |o| o.with_algo("leapfrog")),
+    ];
+    for (text, reindexed) in queries {
+        let stmt = e.prepare(text).unwrap();
+        if reindexed {
+            assert!(stmt.plan().is_reindexed(), "{text}: precondition");
+        }
+        let reference = stmt.execute(&ExecOptions::default()).unwrap().rows;
+        let z = reference.len();
+        let all = text_rows(&reference);
+        if text.starts_with('A') {
+            assert!(!stmt.plan().is_reindexed(), "{text}: precondition");
+        }
+        assert!(
+            if text.starts_with('G') { z == 0 } else { z > 2 },
+            "{text}: Z = {z}"
+        );
+        let limits = sorted(vec![
+            None,
+            Some(0),
+            Some(1),
+            Some(z.saturating_sub(1)),
+            Some(z),
+            Some(z + 1),
+        ]);
+        for (mode, with_mode) in modes {
+            for limit in limits.iter().copied() {
+                for deadline in [None, Some(Instant::now() + Duration::from_secs(3600))] {
+                    let mut opts = with_mode(ExecOptions::default().with_stats());
+                    opts.limit = limit;
+                    opts.deadline = deadline;
+                    let ctx = format!(
+                        "{text} [{mode} limit={limit:?} deadline={}]",
+                        deadline.is_some()
+                    );
+                    let k = limit.unwrap_or(usize::MAX);
+                    let baseline = mode.starts_with("algo");
+
+                    // The three paths yield the same rows.
+                    let exec = stmt.execute(&opts).unwrap();
+                    let mut stream = stmt.stream(&opts).unwrap();
+                    let streamed = text_rows(&stream.by_ref().collect::<Vec<_>>());
+                    let stream_truncated = streamed.len() == k && stream.truncated();
+                    assert!(!stream.deadline_expired(), "{ctx}");
+                    let (body_rows, marker) = parse_body(&body_string(&stmt, &opts).unwrap());
+                    let executed = text_rows(&exec.rows);
+                    assert_eq!(executed.len(), z.min(k), "{ctx}");
+                    if baseline || !reindexed || k >= z {
+                        // Sorted order and certification order coincide.
+                        assert_eq!(executed, all[..z.min(k)], "{ctx}");
+                    } else {
+                        assert!(executed.iter().all(|r| all.contains(r)), "{ctx}");
+                    }
+                    assert_eq!(sorted(streamed.clone()), sorted(executed.clone()), "{ctx}");
+                    match limit {
+                        // Unlimited bodies are the materialized, sorted rows.
+                        None => assert_eq!(body_rows, executed, "{ctx}"),
+                        // Limited bodies are the stream's prefix, in its order.
+                        Some(_) => assert_eq!(body_rows, streamed, "{ctx}"),
+                    }
+
+                    // `truncated` ⇔ a marker line, worded per evaluator.
+                    assert_eq!(exec.truncated, k < z, "{ctx}");
+                    assert_eq!(stream_truncated, exec.truncated, "{ctx}");
+                    let expect_marker = match (exec.truncated, baseline) {
+                        (false, _) => None,
+                        (true, true) => Some(format!("# … {} more", z - k)),
+                        (true, false) => Some(format!("# … output truncated at {k}")),
+                    };
+                    assert_eq!(marker, expect_marker, "{ctx}");
+
+                    // Shard accounting exactly when the sharded engine was
+                    // asked for — `threads=1` included — and actually ran.
+                    let sharded = mode.starts_with("threads") && z > 0;
+                    assert_eq!(exec.shards.is_some(), sharded, "{ctx}");
+                    if mode == "threads=1" && sharded {
+                        assert_eq!(exec.shards.as_ref().unwrap().len(), 1, "{ctx}");
+                    }
+
+                    // In-thread limits: counters cover the shown prefix
+                    // only — `stream().take(k)` with no truncation peek.
+                    if let (Some(k), "serial" | "threads=1") = (limit, mode) {
+                        let mut unlimited = opts.clone();
+                        unlimited.limit = None;
+                        unlimited.threads = 0;
+                        let mut prefix = stmt.stream(&unlimited).unwrap();
+                        assert_eq!(prefix.by_ref().take(k).count(), z.min(k), "{ctx}");
+                        let want = prefix.stats().find_gap_calls;
+                        assert_eq!(exec.stats.as_ref().unwrap().find_gap_calls, want, "{ctx}");
+                        let body = write_body(&mut Vec::new(), &stmt, &opts).unwrap();
+                        assert_eq!(body.stats.find_gap_calls, want, "{ctx}");
+                        assert_eq!(body.rows, z.min(k), "{ctx}");
+                    }
+                }
+            }
+        }
+        // A statement that needs no evaluation still rejects unknown names.
+        let bad = ExecOptions::default().with_algo("quantum");
+        assert!(
+            matches!(stmt.execute(&bad), Err(EngineError::UnknownAlgorithm(_))),
+            "{text}"
+        );
+        assert!(
+            matches!(stmt.stream(&bad), Err(EngineError::UnknownAlgorithm(_))),
+            "{text}"
+        );
+        assert!(
+            matches!(
+                body_string(&stmt, &bad),
+                Err(EngineError::UnknownAlgorithm(_))
+            ),
+            "{text}"
+        );
+    }
+}

@@ -1,8 +1,9 @@
 //! Serial vs. sharded-parallel equivalence, property-tested.
 //!
 //! The sharded executor's contract is exact: for every query and every
-//! worker count `K`, [`minesweeper_core::Plan::execute_parallel`] returns
-//! byte-identical tuples to the serial [`minesweeper_core::Plan::execute`],
+//! worker count `K`, [`minesweeper_core::PreparedExec::execute`] with
+//! `threads: Some(K)` returns byte-identical tuples to the serial
+//! [`minesweeper_core::Plan::execute`],
 //! and the aggregate statistics are precisely the sum of the per-shard
 //! counters (with `outputs` matching the materialized tuple count). The
 //! properties draw random tree-shaped queries from
@@ -24,17 +25,39 @@
 
 use std::sync::Arc;
 
-use minesweeper_join::core::{plan, Query, MAX_TASKS_PER_THREAD};
+use minesweeper_join::core::{plan, Execution, Plan, Query, Run, ShardStats, MAX_TASKS_PER_THREAD};
 use minesweeper_join::storage::{builder, Database, ExecStats, Tuple};
 use minesweeper_workloads::random_queries::{random_tree_instance, TreeQueryConfig};
 use proptest::prelude::*;
 
+/// A run on up to `threads` workers, optionally capped.
+fn par_run(threads: usize, limit: Option<usize>) -> Run<'static> {
+    Run {
+        threads: Some(threads),
+        limit,
+        ..Run::default()
+    }
+}
+
+/// Drains `p` on up to `threads` workers, optionally capped.
+fn sharded(p: &Plan, db: &Arc<Database>, threads: usize, limit: Option<usize>) -> Execution {
+    p.prepare_exec(db)
+        .expect("prepare")
+        .execute(db, &par_run(threads, limit))
+}
+
+/// The per-shard accounting of a run that asked for a worker count.
+fn shards(e: &Execution) -> &[ShardStats] {
+    e.shards.as_deref().expect("a worker count was given")
+}
+
 /// Runs both engines and checks output equality + stats-sum consistency.
 fn check_equivalence(cfg: TreeQueryConfig, seed: u64, threads: usize) -> Result<(), TestCaseError> {
     let inst = random_tree_instance(cfg, seed);
-    let p = plan(&inst.db, &inst.query).expect("generated queries are valid");
-    let serial = p.execute(&inst.db).expect("serial run");
-    let par = p.execute_parallel(&inst.db, threads).expect("parallel run");
+    let db = Arc::new(inst.db);
+    let p = plan(&db, &inst.query).expect("generated queries are valid");
+    let serial = p.execute(&db).expect("serial run");
+    let par = sharded(&p, &db, threads, None);
     prop_assert_eq!(
         &par.result.tuples,
         &serial.result.tuples,
@@ -44,13 +67,13 @@ fn check_equivalence(cfg: TreeQueryConfig, seed: u64, threads: usize) -> Result<
     );
     prop_assert_eq!(&par.gao, &serial.gao);
     prop_assert!(
-        par.shards.len() <= threads.max(1) * MAX_TASKS_PER_THREAD,
+        shards(&par).len() <= threads.max(1) * MAX_TASKS_PER_THREAD,
         "task count bounded: {} tasks for {} workers",
-        par.shards.len(),
+        shards(&par).len(),
         threads
     );
     let mut sum = ExecStats::new();
-    for s in &par.shards {
+    for s in shards(&par) {
         prop_assert!(s.completed, "an unlimited run exhausts every shard");
         sum.merge(&s.stats);
     }
@@ -63,7 +86,7 @@ fn check_equivalence(cfg: TreeQueryConfig, seed: u64, threads: usize) -> Result<
     // Shard specs must tile the output space in lexicographic order:
     // plain shards are contiguous on the first attribute; nested shards
     // share one first interval and are contiguous on the second.
-    for w in par.shards.windows(2) {
+    for w in shards(&par).windows(2) {
         let (a, b) = (w[0].spec, w[1].spec);
         if a.bounds == b.bounds {
             let s1 = a.second.expect("grouped shards are nested");
@@ -135,7 +158,7 @@ proptest! {
 /// (data-blind nested elimination order), with `heavy_share` of S's
 /// attribute-2 tuples concentrated on one value — i.e. a duplicate run on
 /// the first *execution* attribute.
-fn skewed_instance(n: i64, light: i64) -> (Database, Query) {
+fn skewed_instance(n: i64, light: i64) -> (Arc<Database>, Query) {
     let mut db = Database::new();
     let r = db
         .add(builder::binary("R", (0..n).map(|i| ((i * 7) % n, i))))
@@ -149,7 +172,7 @@ fn skewed_instance(n: i64, light: i64) -> (Database, Query) {
         ))
         .unwrap();
     let q = Query::new(3).atom(r, &[0, 1]).atom(s, &[1, 2]);
-    (db, q)
+    (Arc::new(db), q)
 }
 
 proptest! {
@@ -169,22 +192,22 @@ proptest! {
         let (db, q) = skewed_instance(n, light);
         let p = plan(&db, &q).expect("valid query");
         let serial = p.execute(&db).expect("serial run");
-        let par = p.execute_parallel(&db, threads).expect("parallel run");
+        let par = sharded(&p, &db, threads, None);
         prop_assert_eq!(&par.result.tuples, &serial.result.tuples);
         prop_assert!(
-            par.shards.len() > 1,
+            shards(&par).len() > 1,
             "n={} light={} threads={}: >90% skew must still shard, got {:?}",
             n,
             light,
             threads,
-            par.shards.iter().map(|s| s.spec).collect::<Vec<_>>()
+            shards(&par).iter().map(|s| s.spec).collect::<Vec<_>>()
         );
         prop_assert!(
-            par.shards.iter().any(|s| s.spec.is_nested()),
+            shards(&par).iter().any(|s| s.spec.is_nested()),
             "the dominant run must be split on the second attribute"
         );
         let mut sum = ExecStats::new();
-        for s in &par.shards {
+        for s in shards(&par) {
             sum.merge(&s.stats);
         }
         prop_assert_eq!(sum, par.result.stats);
@@ -199,8 +222,8 @@ proptest! {
     /// GAOs included — the generator's path shapes routinely force a
     /// non-identity order) and random thread counts. Checked at both
     /// API levels: the incremental stream must reproduce the serial
-    /// stream's exact *sequence*, and `execute_limited` must return the
-    /// serial prefix sorted in the original numbering.
+    /// stream's exact *sequence*, and the limited `execute` must return
+    /// the serial prefix sorted in the original numbering.
     #[test]
     fn parallel_limit_is_the_exact_serial_prefix(
         seed in 0u64..1_000_000,
@@ -210,16 +233,12 @@ proptest! {
     ) {
         let cfg = TreeQueryConfig { n_attrs, ..TreeQueryConfig::default() };
         let inst = random_tree_instance(cfg, seed);
-        let p = plan(&inst.db, &inst.query).expect("generated queries are valid");
-        let serial: Vec<Tuple> = p.stream(&inst.db).expect("serial stream").take(k).collect();
-        let prepared = p.prepare_exec(&inst.db).expect("prepare");
-        let limited = p
-            .clone()
-            .sharded(threads)
-            .execute_limited(&inst.db, Some(k))
-            .expect("parallel limited run");
         let db = Arc::new(inst.db);
-        let par: Vec<Tuple> = prepared.stream_parallel(&db, threads, Some(k)).collect();
+        let p = plan(&db, &inst.query).expect("generated queries are valid");
+        let prepared = p.prepare_exec(&db).expect("prepare");
+        let serial: Vec<Tuple> = prepared.open(&db, &Run::default()).take(k).collect();
+        let limited = sharded(&p, &db, threads, Some(k));
+        let par: Vec<Tuple> = prepared.open(&db, &par_run(threads, Some(k))).collect();
         prop_assert_eq!(
             &par,
             &serial,
@@ -233,7 +252,7 @@ proptest! {
         prop_assert_eq!(
             &limited.result.tuples,
             &sorted_prefix,
-            "seed {} threads {} k {}: execute_limited must be the serial sorted prefix",
+            "seed {} threads {} k {}: the limited execute must be the serial sorted prefix",
             seed,
             threads,
             k
@@ -250,14 +269,13 @@ fn reindexed_limit_prefix_matches_serial_byte_for_byte() {
     let (db, q) = skewed_instance(120, 120);
     let p = plan(&db, &q).unwrap();
     assert!(p.is_reindexed(), "precondition: non-identity GAO");
-    let full: Vec<Tuple> = p.stream(&db).unwrap().collect();
-    assert!(full.len() > 16, "needs a non-trivial output");
     let prepared = p.prepare_exec(&db).unwrap();
-    let db = Arc::new(db);
+    let full: Vec<Tuple> = prepared.open(&db, &Run::default()).collect();
+    assert!(full.len() > 16, "needs a non-trivial output");
     for threads in [2, 4, 8] {
         for k in [1, 2, 7, full.len() - 1, full.len(), full.len() + 5] {
             let serial: Vec<Tuple> = full.iter().take(k).cloned().collect();
-            let par: Vec<Tuple> = prepared.stream_parallel(&db, threads, Some(k)).collect();
+            let par: Vec<Tuple> = prepared.open(&db, &par_run(threads, Some(k))).collect();
             assert_eq!(par, serial, "threads={threads} k={k}");
         }
     }
@@ -271,9 +289,9 @@ fn merge_cancellation_after_k_skips_probe_work_on_reindexed_plan() {
     let (db, q) = skewed_instance(4000, 4000);
     let p = plan(&db, &q).unwrap();
     assert!(p.is_reindexed());
-    let full = p.execute_parallel(&db, 4).unwrap();
+    let full = sharded(&p, &db, 4, None);
     assert!(full.result.tuples.len() > 1000);
-    let limited = p.clone().sharded(4).execute_limited(&db, Some(3)).unwrap();
+    let limited = sharded(&p, &db, 4, Some(3));
     assert!(limited.truncated);
     assert!(
         limited.result.stats.probe_points * 2 < full.result.stats.probe_points,
@@ -282,7 +300,7 @@ fn merge_cancellation_after_k_skips_probe_work_on_reindexed_plan() {
         full.result.stats.probe_points
     );
     assert!(
-        limited.shards.iter().any(|s| !s.completed),
+        shards(&limited).iter().any(|s| !s.completed),
         "capped or cancelled shards must be flagged"
     );
 }
@@ -299,14 +317,15 @@ fn limit_one_parallel_stream_cancels_all_workers() {
     let q = Query::new(1).atom(r, &[0]).atom(s, &[0]);
     let p = plan(&db, &q).unwrap();
     let db = Arc::new(db);
-    let full = p.execute_parallel(&db, 4).unwrap();
+    let full = sharded(&p, &db, 4, None);
     assert_eq!(full.result.tuples.len(), 20_000);
 
     // Stream with a per-shard limit of 1, take one tuple, finish.
     let prepared = p.prepare_exec(&db).unwrap();
-    let mut stream = prepared.stream_parallel(&db, 4, Some(1));
+    let mut stream = prepared.open(&db, &par_run(4, Some(1)));
     assert_eq!(stream.next(), Some(vec![0]));
     let report = stream.finish();
+    let report_shards = report.shards.expect("a worker count was given");
     assert!(
         report.stats.probe_points * 4 < full.result.stats.probe_points,
         "limit-1 stream must skip almost all probe work: {} vs {}",
@@ -319,13 +338,13 @@ fn limit_one_parallel_stream_cancels_all_workers() {
         report.stats.outputs
     );
     assert!(
-        report.shards.iter().any(|s| !s.completed),
+        report_shards.iter().any(|s| !s.completed),
         "capped or cancelled shards must be flagged"
     );
     // The report covers every planned shard task, cancelled ones with
     // zero counters, and the sum still reconciles.
     let mut sum = ExecStats::new();
-    for s in &report.shards {
+    for s in &report_shards {
         sum.merge(&s.stats);
     }
     assert_eq!(sum, report.stats);

@@ -2,20 +2,22 @@
 //! plans are built without execution, streams terminate early with
 //! measurably less probe work, and mid-stream statistics are live.
 
-use minesweeper_join::core::{execute, naive_join, plan, Query};
+use std::sync::Arc;
+
+use minesweeper_join::core::{execute, naive_join, plan, Query, Run};
 use minesweeper_join::storage::{builder, Database, Tuple, Val};
 
 /// Example B.2's shape scaled up: `R = [N]`, `S = {(N, 10i)}` — certificate
 /// `O(1)` but `Z = N`, the worst case for a materialize-then-truncate
 /// `LIMIT k`.
-fn z_much_bigger_than_k(n: Val) -> (Database, Query) {
+fn z_much_bigger_than_k(n: Val) -> (Arc<Database>, Query) {
     let mut db = Database::new();
     let r = db.add(builder::unary("R", 1..=n)).unwrap();
     let s = db
         .add(builder::binary("S", (1..=n).map(|i| (n, 10 * i))))
         .unwrap();
     let q = Query::new(2).atom(r, &[0]).atom(s, &[0, 1]);
-    (db, q)
+    (Arc::new(db), q)
 }
 
 /// The acceptance criterion for the streaming executor:
@@ -29,7 +31,8 @@ fn stream_take_k_does_strictly_less_work_than_execute() {
     let (db, q) = z_much_bigger_than_k(n);
 
     let p = plan(&db, &q).unwrap();
-    let mut stream = p.stream(&db).unwrap();
+    let exec = p.prepare_exec(&db).unwrap();
+    let mut stream = exec.open(&db, &Run::default());
     let first_k: Vec<Tuple> = stream.by_ref().take(k).collect();
     assert_eq!(first_k.len(), k);
     let early = stream.stats();
@@ -66,8 +69,9 @@ fn plan_is_reusable_and_deterministic() {
     let (db, q) = z_much_bigger_than_k(50);
     let p = plan(&db, &q).unwrap();
     // Stream twice and execute twice off one plan; all runs agree.
-    let s1: Vec<Tuple> = p.stream(&db).unwrap().collect();
-    let s2: Vec<Tuple> = p.stream(&db).unwrap().collect();
+    let exec = p.prepare_exec(&db).unwrap();
+    let s1: Vec<Tuple> = exec.open(&db, &Run::default()).collect();
+    let s2: Vec<Tuple> = exec.open(&db, &Run::default()).collect();
     assert_eq!(s1, s2);
     let e1 = p.execute(&db).unwrap().result.tuples;
     let e2 = p.execute(&db).unwrap().result.tuples;
@@ -99,9 +103,11 @@ fn stream_matches_naive_on_reindexed_plans() {
         .atom(r, &[0, 1, 2])
         .atom(s, &[0, 2])
         .atom(t, &[1, 2]);
+    let db = Arc::new(db);
     let p = plan(&db, &q).unwrap();
     assert!(p.is_reindexed());
-    let mut got: Vec<Tuple> = p.stream(&db).unwrap().collect();
+    let exec = p.prepare_exec(&db).unwrap();
+    let mut got: Vec<Tuple> = exec.open(&db, &Run::default()).collect();
     got.sort();
     assert_eq!(got, naive_join(&db, &q).unwrap());
 }
@@ -110,7 +116,8 @@ fn stream_matches_naive_on_reindexed_plans() {
 fn mid_stream_stats_are_monotone_and_final() {
     let (db, q) = z_much_bigger_than_k(200);
     let p = plan(&db, &q).unwrap();
-    let mut stream = p.stream(&db).unwrap();
+    let exec = p.prepare_exec(&db).unwrap();
+    let mut stream = exec.open(&db, &Run::default());
     let mut last_probe_points = 0;
     let mut yielded = 0u64;
     while let Some(_t) = stream.next() {
@@ -129,14 +136,15 @@ fn mid_stream_stats_are_monotone_and_final() {
     // Draining the rest still works after a pause-and-inspect.
     let rest: Vec<Tuple> = stream.by_ref().collect();
     assert_eq!(yielded as usize + rest.len(), 200);
-    assert!(stream.is_exhausted());
+    assert_eq!(stream.next(), None, "exhausted, and fused");
 }
 
 #[test]
 fn exhausted_stream_stats_match_batch_execute() {
     let (db, q) = z_much_bigger_than_k(100);
     let p = plan(&db, &q).unwrap();
-    let mut stream = p.stream(&db).unwrap();
+    let exec = p.prepare_exec(&db).unwrap();
+    let mut stream = exec.open(&db, &Run::default());
     let streamed: Vec<Tuple> = stream.by_ref().collect();
     let batch = p.execute(&db).unwrap();
     assert_eq!(streamed.len(), batch.result.tuples.len());
@@ -162,6 +170,8 @@ fn plan_borrows_nothing_and_outlives_databases() {
     let mut db2 = Database::new();
     db2.add(builder::unary("R", [10, 20])).unwrap();
     db2.add(builder::unary("S", [20, 30])).unwrap();
-    let got: Vec<Tuple> = p.stream(&db2).unwrap().collect();
+    let db2 = Arc::new(db2);
+    let exec = p.prepare_exec(&db2).unwrap();
+    let got: Vec<Tuple> = exec.open(&db2, &Run::default()).collect();
     assert_eq!(got, vec![vec![20]]);
 }

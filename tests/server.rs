@@ -170,6 +170,71 @@ fn admission_bounds_peak_in_flight_under_saturation() {
     server.shutdown().unwrap();
 }
 
+/// `threads=N` is clamped to the admission budget: however many workers a
+/// request names, it runs the split — and so exactly the work counters —
+/// of `threads=<budget>`, the cost admission charged it for. (Unclamped,
+/// `threads=usize::MAX` overflowed the task-count arithmetic and
+/// `threads=1000000` spawned one OS thread per shard task.)
+#[test]
+fn oversized_thread_counts_run_as_the_budget() {
+    use minesweeper_join::core::MAX_TASKS_PER_THREAD;
+
+    let mut engine = Engine::new();
+    let tsv: String = (0..600)
+        .map(|i| format!("{} {}\n", i, (i * 7) % 600))
+        .collect();
+    engine.load_tsv("E", &tsv).unwrap();
+    let engine = Arc::new(engine);
+    let budget = 2;
+    let query = "E(a, b), E(b, c)";
+
+    // What `threads=<budget>` does, in process: its shard tasks respect
+    // the bound, and a count left unclamped would not.
+    let stmt = engine.prepare(query).unwrap();
+    let clamped = stmt
+        .execute(&ExecOptions::default().with_threads(budget).with_stats())
+        .unwrap();
+    let tasks = clamped.shards.as_ref().unwrap().len();
+    assert!(
+        tasks > 1 && tasks <= budget * MAX_TASKS_PER_THREAD,
+        "{tasks}"
+    );
+    let unclamped = stmt
+        .explain(&ExecOptions::default().with_threads(1_000_000))
+        .unwrap();
+    assert!(unclamped.shards.unwrap().tasks > budget * MAX_TASKS_PER_THREAD);
+    let want = clamped.stats.unwrap();
+
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", budget).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut bodies = Vec::new();
+    for threads in [budget, 1_000_000, usize::MAX] {
+        let before = server.stats();
+        match client
+            .request(&format!("Q threads={threads} {query}"))
+            .unwrap()
+        {
+            Reply::Ok { body, .. } => bodies.push(body),
+            Reply::Err { code, message } => panic!("threads={threads}: ERR {code} {message}"),
+        }
+        // Same shard split ⇒ same deterministic work, to the probe.
+        let after = server.stats();
+        assert_eq!(
+            (
+                after.probe_points - before.probe_points,
+                after.find_gap_calls - before.find_gap_calls
+            ),
+            (want.probe_points, want.find_gap_calls),
+            "threads={threads} must run threads={budget}'s shard tasks"
+        );
+    }
+    assert!(bodies.iter().all(|b| b == &bodies[0] && !b.is_empty()));
+    let stats = server.stats();
+    assert_eq!(stats.errors, 0);
+    assert!(stats.peak_in_flight <= budget as u64);
+    server.shutdown().unwrap();
+}
+
 /// Disconnect-triggered cancellation: a client that vanishes mid-stream
 /// stops its query. The response body is far larger than any socket
 /// buffering, so the session is still producing when the client hangs
