@@ -10,6 +10,9 @@
 #   3. reachability: every docs/*.md must be linked from README.md,
 #      directly or via the docs/README.md index (which itself must be
 #      linked from README.md) — no orphaned design docs.
+#   4. `STATS` counters: the names in the one `counters!` table of
+#      src/server/mod.rs and the names in the counter table of
+#      docs/SERVICE.md must be the same set.
 #
 # Usage: ci/check_docs.sh [FILE.md ...]   (defaults to docs/*.md,
 # README.md, and ci/README.md, run from the repository root; the
@@ -94,6 +97,30 @@ if [ -f README.md ] && [ -d docs ]; then
         echo "ERROR: $doc is unreachable (not linked from README.md or $index)"
         fail=1
     done
+fi
+
+# 4. The STATS counter list: code and operator docs name the same set.
+stats_src=src/server/mod.rs
+stats_doc=docs/SERVICE.md
+if [ -f "$stats_src" ] && [ -f "$stats_doc" ]; then
+    # Entries of `counters! { … }`: `name;` (tally) or `name = expr;` (gauge).
+    in_code=$(awk '/^counters! \{/ { on = 1; next } on && /^\}/ { exit } on' "$stats_src" \
+              | grep -oE '^    [a-z_]+(;| = )' | grep -oE '[a-z_]+' | sort)
+    # First column of the `| counter | meaning |` table, names backticked.
+    in_docs=$(awk '/^\| counter \| meaning \|/ { on = 1; next } on && !/^\|/ { exit } on' "$stats_doc" \
+              | cut -d'|' -f2 | grep -oE '`[a-z_]+`' | tr -d '`' | sort)
+    if [ -z "$in_code" ] || [ -z "$in_docs" ]; then
+        echo "ERROR: could not read the STATS counter list from $stats_src / $stats_doc"
+        fail=1
+    fi
+    while IFS= read -r name; do
+        echo "ERROR: STATS counter \`$name\` is in $stats_src but not in $stats_doc"
+        fail=1
+    done < <(comm -23 <(echo "$in_code") <(echo "$in_docs"))
+    while IFS= read -r name; do
+        echo "ERROR: STATS counter \`$name\` is in $stats_doc but not in $stats_src"
+        fail=1
+    done < <(comm -13 <(echo "$in_code") <(echo "$in_docs"))
 fi
 
 if [ "$fail" -ne 0 ]; then

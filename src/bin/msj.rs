@@ -76,6 +76,7 @@
 
 use std::process::ExitCode;
 
+use std::fmt::Display;
 use std::io::{BufRead, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -86,6 +87,7 @@ use minesweeper_join::engine::{
     DispatchKind, DurableBoot, Engine, EngineError, ExecOptions, PreparedStatement,
 };
 use minesweeper_join::render;
+use minesweeper_join::server::protocol::set_exec_option;
 use minesweeper_join::server::{self, Client, Reply, Server};
 use minesweeper_join::storage::ExecStats;
 
@@ -118,6 +120,12 @@ fn engine_failure(e: &EngineError) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// An execution or I/O failure (exit 1), reported as `context: error`.
+fn failure(context: impl Display, e: impl Display) -> ExitCode {
+    eprintln!("{context}: {e}");
+    ExitCode::FAILURE
 }
 
 fn print_stats(stats: &ExecStats) {
@@ -171,24 +179,27 @@ fn print_shard_lines(threads: usize, shards: &[minesweeper_join::core::ShardStat
 /// durable — the same loader either way).
 fn load_relations_into(engine: &mut Engine, rels: &[(String, String)]) -> Result<(), ExitCode> {
     for (name, path) in rels {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            eprintln!("cannot read {path}: {e}");
-            ExitCode::FAILURE
-        })?;
-        engine.load_tsv(name, &text).map_err(|e| {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        })?;
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| failure(format_args!("cannot read {path}"), e))?;
+        engine.load_tsv(name, &text).map_err(|e| failure(path, e))?;
     }
     Ok(())
 }
 
-/// Parses the `--rel NAME=FILE` pairs common to the one-shot and serve
-/// modes and loads them into a fresh in-memory engine.
-fn load_relations(rels: &[(String, String)]) -> Result<Engine, ExitCode> {
-    let mut engine = Engine::new();
-    load_relations_into(&mut engine, rels)?;
-    Ok(engine)
+/// Writes a checkpoint (nothing on an in-memory engine) and reports it
+/// on stderr under `headline`.
+fn checkpoint(
+    engine: &Engine,
+    headline: impl Display,
+    failed: impl Display,
+) -> Result<(), ExitCode> {
+    if let Some(report) = engine.checkpoint().map_err(|e| failure(failed, e))? {
+        eprintln!(
+            "# {headline} {} ({} relation(s), {} row(s))",
+            report.id, report.relations, report.rows
+        );
+    }
+    Ok(())
 }
 
 /// Opens (or recovers) a durable engine over `--data-dir`. A fresh
@@ -200,24 +211,16 @@ fn open_data_dir(
     options: DurabilityOptions,
     rels: &[(String, String)],
 ) -> Result<Engine, ExitCode> {
-    let (mut engine, boot) = Engine::open_durable(Path::new(dir), options).map_err(|e| {
-        eprintln!("cannot open data directory {dir}: {e}");
-        ExitCode::FAILURE
-    })?;
+    let (mut engine, boot) = Engine::open_durable(Path::new(dir), options)
+        .map_err(|e| failure(format_args!("cannot open data directory {dir}"), e))?;
     match boot {
         DurableBoot::Fresh => {
             load_relations_into(&mut engine, rels)?;
-            match engine.checkpoint() {
-                Ok(Some(report)) => eprintln!(
-                    "# msj: initialized {dir}: checkpoint {} ({} relation(s), {} row(s))",
-                    report.id, report.relations, report.rows
-                ),
-                Ok(None) => unreachable!("durable engines always checkpoint"),
-                Err(e) => {
-                    eprintln!("cannot write the boot checkpoint in {dir}: {e}");
-                    return Err(ExitCode::FAILURE);
-                }
-            }
+            checkpoint(
+                &engine,
+                format_args!("msj: initialized {dir}: checkpoint"),
+                format_args!("cannot write the boot checkpoint in {dir}"),
+            )?;
         }
         DurableBoot::Recovered(report) => {
             for warning in &report.warnings {
@@ -239,139 +242,134 @@ fn open_data_dir(
     Ok(engine)
 }
 
+/// A usage error that names the offending flag instead of printing the
+/// whole usage text.
+fn bad_flag(message: impl Display) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::from(2)
+}
+
+/// A cursor over the command line. Flag values come out through `?`: a
+/// missing or unparsable value is the usage error (exit 2), so each flag
+/// is one `match` arm.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<&'a str, ExitCode> {
+        self.next().ok_or_else(usage)
+    }
+
+    /// The current flag's value, parsed.
+    fn parsed<T: std::str::FromStr>(&mut self) -> Result<T, ExitCode> {
+        self.value()?.parse().map_err(|_| usage())
+    }
+
+    /// The current flag's value as a count above zero; anything else is
+    /// reported as `flag expects a positive <what> count`.
+    fn positive(&mut self, flag: &str, what: &str) -> Result<usize, ExitCode> {
+        let n = self.next().and_then(|v| v.parse().ok());
+        n.filter(|&n| n > 0)
+            .ok_or_else(|| bad_flag(format_args!("{flag} expects a positive {what} count")))
+    }
+}
+
+/// Where the data comes from — the `--rel` / `--data-dir` flags the
+/// one-shot and serve modes share.
+#[derive(Default)]
+struct Source {
+    rels: Vec<(String, String)>,
+    data_dir: Option<String>,
+}
+
+impl Source {
+    /// Consumes `flag` if it is one of the source flags.
+    fn take(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, ExitCode> {
+        match flag {
+            "--rel" => {
+                let spec = flags.value()?;
+                let (name, path) = spec.split_once('=').ok_or_else(|| {
+                    bad_flag(format_args!("--rel expects NAME=FILE, got {spec:?}"))
+                })?;
+                self.rels.push((name.to_string(), path.to_string()));
+            }
+            "--data-dir" => self.data_dir = Some(flags.value()?.to_string()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Loads the engine: durable over `--data-dir` when given, otherwise
+    /// the `--rel` files into a fresh in-memory one.
+    fn open(&self, durability: DurabilityOptions) -> Result<Engine, ExitCode> {
+        match &self.data_dir {
+            Some(dir) => open_data_dir(dir, durability, &self.rels),
+            None if self.rels.is_empty() => Err(usage()),
+            None => {
+                let mut engine = Engine::new();
+                load_relations_into(&mut engine, &self.rels)?;
+                Ok(engine)
+            }
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => serve_main(&args[1..]),
-        Some("client") => client_main(&args[1..]),
-        _ => query_main(&args),
-    }
+    let run = match args.first().map(String::as_str) {
+        Some("serve") => serve_main(Flags(args[1..].iter())),
+        Some("client") => client_main(Flags(args[1..].iter())),
+        _ => query_main(Flags(args.iter())),
+    };
+    run.unwrap_or_else(|code| code)
 }
 
 // ---------------------------------------------------------------- serve
 
-fn serve_main(args: &[String]) -> ExitCode {
-    let mut rels: Vec<(String, String)> = Vec::new();
-    let mut addr = "127.0.0.1:0".to_string();
+fn serve_main(mut flags: Flags) -> Result<ExitCode, ExitCode> {
+    let mut source = Source::default();
+    let mut addr = "127.0.0.1:0";
     let mut options = server::ServerOptions::default();
-    let mut data_dir: Option<String> = None;
     let mut durability = DurabilityOptions::default();
     let mut durability_flags = false;
     let mut auto_compact = true;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rel" => {
-                let Some(spec) = args.get(i + 1) else {
-                    return usage();
-                };
-                let Some((name, path)) = spec.split_once('=') else {
-                    eprintln!("--rel expects NAME=FILE, got {spec:?}");
-                    return ExitCode::from(2);
-                };
-                rels.push((name.to_string(), path.to_string()));
-                i += 2;
-            }
-            "--addr" => {
-                let Some(a) = args.get(i + 1) else {
-                    return usage();
-                };
-                addr = a.clone();
-                i += 2;
-            }
-            "--budget" => {
-                let Some(b) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                options.budget = b;
-                i += 2;
-            }
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => addr = flags.value()?,
+            "--budget" => options.budget = flags.parsed()?,
             "--default-timeout" => {
-                let Some(ms) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                options.default_timeout = Some(std::time::Duration::from_millis(ms));
-                i += 2;
+                options.default_timeout = Some(std::time::Duration::from_millis(flags.parsed()?));
             }
-            "--flush-rows" => {
-                let parsed = args.get(i + 1).and_then(|s| s.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--flush-rows expects a positive line count");
-                    return ExitCode::from(2);
-                };
-                options.flush_rows = n;
-                i += 2;
-            }
-            "--flush-bytes" => {
-                let parsed = args.get(i + 1).and_then(|s| s.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--flush-bytes expects a positive byte count");
-                    return ExitCode::from(2);
-                };
-                options.flush_bytes = n;
-                i += 2;
-            }
-            "--data-dir" => {
-                let Some(d) = args.get(i + 1) else {
-                    return usage();
-                };
-                data_dir = Some(d.clone());
-                i += 2;
-            }
+            "--flush-rows" => options.flush_rows = flags.positive(flag, "line")?,
+            "--flush-bytes" => options.flush_bytes = flags.positive(flag, "byte")?,
             "--fsync" => {
-                let Some(policy) = args.get(i + 1).and_then(|s| FsyncPolicy::parse(s)) else {
-                    eprintln!("--fsync expects always, never, or every=N");
-                    return ExitCode::from(2);
-                };
-                durability.fsync = policy;
+                let policy = flags.next().and_then(FsyncPolicy::parse);
+                durability.fsync =
+                    policy.ok_or_else(|| bad_flag("--fsync expects always, never, or every=N"))?;
                 durability_flags = true;
-                i += 2;
             }
             "--checkpoint-every" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                durability.checkpoint_every = n;
+                durability.checkpoint_every = flags.parsed()?;
                 durability_flags = true;
-                i += 2;
             }
-            "--no-auto-compact" => {
-                auto_compact = false;
-                i += 1;
-            }
-            "--help" | "-h" => return usage(),
-            other => {
-                eprintln!("unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
+            "--no-auto-compact" => auto_compact = false,
+            "--help" | "-h" => return Err(usage()),
+            other if source.take(other, &mut flags)? => {}
+            other => return Err(bad_flag(format_args!("unexpected argument {other:?}"))),
         }
     }
-    if durability_flags && data_dir.is_none() {
-        eprintln!("--fsync / --checkpoint-every require --data-dir");
-        return ExitCode::from(2);
+    if durability_flags && source.data_dir.is_none() {
+        return Err(bad_flag("--fsync / --checkpoint-every require --data-dir"));
     }
-    if rels.is_empty() && data_dir.is_none() {
-        return usage();
-    }
-    let engine = match &data_dir {
-        Some(dir) => match open_data_dir(dir, durability, &rels) {
-            Ok(e) => e,
-            Err(code) => return code,
-        },
-        None => match load_relations(&rels) {
-            Ok(e) => e,
-            Err(code) => return code,
-        },
-    };
+    let engine = source.open(durability)?;
     engine.set_auto_compact(auto_compact);
     let engine = Arc::new(engine);
-    let server = match Server::start_with(Arc::clone(&engine), &addr, options) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot serve on {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = Server::start_with(Arc::clone(&engine), addr, options)
+        .map_err(|e| failure(format_args!("cannot serve on {addr}"), e))?;
     // The first stdout line is machine-readable so scripts (and the CI
     // smoke job) can discover an OS-assigned port.
     println!("listening on {}", server.addr());
@@ -380,7 +378,7 @@ fn serve_main(args: &[String]) -> ExitCode {
         "# msj serve: {} relation(s), worker budget {}{}; protocol in docs/SERVICE.md",
         engine.db().len(),
         server.stats().budget,
-        match &data_dir {
+        match &source.data_dir {
             Some(dir) => format!(", durable in {dir}"),
             None => String::new(),
         }
@@ -395,22 +393,15 @@ fn serve_main(args: &[String]) -> ExitCode {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
     eprintln!("# msj serve: signal received, draining");
-    if let Err(e) = server.shutdown() {
-        eprintln!("msj serve: shutdown: {e}");
-        return ExitCode::FAILURE;
-    }
-    match engine.checkpoint() {
-        Ok(Some(report)) => eprintln!(
-            "# msj serve: final checkpoint {} ({} relation(s), {} row(s))",
-            report.id, report.relations, report.rows
-        ),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("msj serve: final checkpoint failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    server
+        .shutdown()
+        .map_err(|e| failure("msj serve: shutdown", e))?;
+    checkpoint(
+        &engine,
+        "msj serve: final checkpoint",
+        "msj serve: final checkpoint failed",
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Minimal signal handling without a libc crate: `std` already links
@@ -464,58 +455,29 @@ fn code_is_rejection(code: &str) -> bool {
     matches!(code, "PROTO" | "PARSE" | "PLAN" | "TYPE" | "ALGO")
 }
 
-fn client_main(args: &[String]) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                let Some(a) = args.get(i + 1) else {
-                    return usage();
-                };
-                addr = Some(a.clone());
-                i += 2;
-            }
-            "--help" | "-h" => return usage(),
-            other => {
-                eprintln!("unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
+fn client_main(mut flags: Flags) -> Result<ExitCode, ExitCode> {
+    let mut addr = None;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => addr = Some(flags.value()?),
+            "--help" | "-h" => return Err(usage()),
+            other => return Err(bad_flag(format_args!("unexpected argument {other:?}"))),
         }
     }
-    let Some(addr) = addr else {
-        return usage();
-    };
-    let mut client = match Client::connect(&addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let addr = addr.ok_or_else(usage)?;
+    let mut client =
+        Client::connect(addr).map_err(|e| failure(format_args!("cannot connect to {addr}"), e))?;
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let mut rejected = false;
     let mut failed = false;
     for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("stdin: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let line = line.map_err(|e| failure("stdin", e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match client.request(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let reply = client.request(&line).map_err(|e| failure(addr, e))?;
         match reply {
             Reply::Ok { body, .. } => {
                 if out
@@ -524,7 +486,7 @@ fn client_main(args: &[String]) -> ExitCode {
                     .is_err()
                 {
                     // stdout consumer gone (e.g. `… | head`): stop quietly.
-                    return ExitCode::SUCCESS;
+                    return Ok(ExitCode::SUCCESS);
                 }
             }
             Reply::Err { code, message } => {
@@ -537,111 +499,48 @@ fn client_main(args: &[String]) -> ExitCode {
             }
         }
     }
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else if rejected {
         ExitCode::from(EXIT_REJECTED)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 // -------------------------------------------------------------- one-shot
 
-fn query_main(args: &[String]) -> ExitCode {
-    let mut rels: Vec<(String, String)> = Vec::new();
-    let mut query_text: Option<String> = None;
+fn query_main(mut flags: Flags) -> Result<ExitCode, ExitCode> {
+    let mut source = Source::default();
+    let mut query_text = None;
     let mut show_stats = false;
     let mut explain = false;
     let mut explain_json = false;
-    let mut algo_name: Option<String> = None;
-    let mut limit: Option<usize> = None;
-    let mut threads: Option<usize> = None;
-    let mut data_dir: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rel" => {
-                let Some(spec) = args.get(i + 1) else {
-                    return usage();
-                };
-                let Some((name, path)) = spec.split_once('=') else {
-                    eprintln!("--rel expects NAME=FILE, got {spec:?}");
-                    return ExitCode::from(2);
-                };
-                rels.push((name.to_string(), path.to_string()));
-                i += 2;
+    // `--algo`, `--threads` and `--limit` are the service's `algo=`,
+    // `threads=` and `limit=` options: one grammar, one setter.
+    let mut opts = ExecOptions::default();
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--stats" => show_stats = true,
+            "--explain" => explain = true,
+            "--explain-json" => explain_json = true,
+            "--algo" | "--threads" | "--limit" => {
+                set_exec_option(&flag[2..], flags.value()?, &mut opts, &mut None)
+                    .map_err(|_| usage())?;
             }
-            "--stats" => {
-                show_stats = true;
-                i += 1;
+            "--help" | "-h" => return Err(usage()),
+            other if source.take(other, &mut flags)? => {}
+            other if query_text.is_some() => {
+                return Err(bad_flag(format_args!("unexpected argument {other:?}")));
             }
-            "--explain" => {
-                explain = true;
-                i += 1;
-            }
-            "--explain-json" => {
-                explain_json = true;
-                i += 1;
-            }
-            "--algo" => {
-                let Some(name) = args.get(i + 1) else {
-                    return usage();
-                };
-                algo_name = Some(name.clone());
-                i += 2;
-            }
-            "--limit" => {
-                let Some(k) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                limit = Some(k);
-                i += 2;
-            }
-            "--threads" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                threads = Some(n);
-                i += 2;
-            }
-            "--data-dir" => {
-                let Some(d) = args.get(i + 1) else {
-                    return usage();
-                };
-                data_dir = Some(d.clone());
-                i += 2;
-            }
-            "--help" | "-h" => return usage(),
-            other => {
-                if query_text.is_some() {
-                    eprintln!("unexpected argument {other:?}");
-                    return ExitCode::from(2);
-                }
-                query_text = Some(other.to_string());
-                i += 1;
-            }
+            other => query_text = Some(other),
         }
     }
-    let Some(query_text) = query_text else {
-        return usage();
-    };
-    if rels.is_empty() && data_dir.is_none() {
-        return usage();
-    }
-    let engine = match &data_dir {
-        Some(dir) => match open_data_dir(dir, DurabilityOptions::default(), &rels) {
-            Ok(e) => e,
-            Err(code) => return code,
-        },
-        None => match load_relations(&rels) {
-            Ok(e) => e,
-            Err(code) => return code,
-        },
-    };
+    let query_text = query_text.ok_or_else(usage)?;
+    let engine = source.open(DurabilityOptions::default())?;
     // Resolve `--algo` up front so typos fail before any planning work —
     // a rejection (exit 3), like every other pre-execution refusal.
-    let canonical_algo = match &algo_name {
+    let canonical_algo = match &opts.algo {
         None => None,
         Some(name) => match lookup(name) {
             Some(a) => Some(a.name()),
@@ -650,7 +549,7 @@ fn query_main(args: &[String]) -> ExitCode {
                     "unknown algorithm {name:?}; available: {}",
                     algorithm_names().join(", ")
                 );
-                return ExitCode::from(EXIT_REJECTED);
+                return Err(ExitCode::from(EXIT_REJECTED));
             }
         },
     };
@@ -660,33 +559,17 @@ fn query_main(args: &[String]) -> ExitCode {
     // use it as the dispatch host.
     let uses_planner =
         canonical_algo.is_none_or(|a| matches!(a, "minesweeper" | "minesweeper-par"));
-    if !uses_planner && threads.is_some() {
+    if !uses_planner && opts.threads > 0 {
         eprintln!("note: --threads only applies to the minesweeper engines; ignored");
+        opts.threads = 0;
     }
-
-    let stmt = match engine.prepare(&query_text) {
-        Ok(s) => s,
-        Err(e) => return engine_failure(&e),
-    };
+    opts.collect_stats = true;
 
     // The one options struct every path below dispatches with; the
     // engine resolves thread defaults (e.g. minesweeper-par's
     // hardware-sized worker count) inside `dispatch_kind`.
-    let opts = ExecOptions {
-        algo: algo_name.clone(),
-        threads: if uses_planner {
-            threads.map(|t| t.max(1)).unwrap_or(0)
-        } else {
-            0
-        },
-        limit,
-        collect_stats: true,
-        deadline: None,
-    };
-    let kind = match stmt.dispatch_kind(&opts) {
-        Ok(k) => k,
-        Err(e) => return engine_failure(&e),
-    };
+    let stmt = engine.prepare(query_text).map_err(|e| engine_failure(&e))?;
+    let kind = stmt.dispatch_kind(&opts).map_err(|e| engine_failure(&e))?;
 
     // Buffered, checked stdout: a consumer closing the pipe (`msj … |
     // head`) stops a streaming run quietly instead of panicking. The
@@ -698,25 +581,20 @@ fn query_main(args: &[String]) -> ExitCode {
 
     if explain || explain_json {
         return match render::write_explain(&mut out, &stmt, &opts, explain_json) {
-            Ok(_connected) => ExitCode::SUCCESS,
-            Err(e) => engine_failure(&e),
+            Ok(_connected) => Ok(ExitCode::SUCCESS),
+            Err(e) => Err(engine_failure(&e)),
         };
     }
 
-    if let DispatchKind::Parallel(_) = kind {
-        if let Some(k) = limit {
-            eprintln!(
-                "note: --limit {k} with --threads streams the first {k} tuples in \
-                 global order (identical to the serial --limit stream) and cancels \
-                 the remaining shard work early"
-            );
-        }
+    if let (DispatchKind::Parallel(_), Some(k)) = (&kind, opts.limit) {
+        eprintln!(
+            "note: --limit {k} with --threads streams the first {k} tuples in \
+             global order (identical to the serial --limit stream) and cancels \
+             the remaining shard work early"
+        );
     }
 
-    let outcome = match render::write_body(&mut out, &stmt, &opts) {
-        Ok(o) => o,
-        Err(e) => return engine_failure(&e),
-    };
+    let outcome = render::write_body(&mut out, &stmt, &opts).map_err(|e| engine_failure(&e))?;
     drop(out);
     if show_stats {
         match &kind {
@@ -731,5 +609,5 @@ fn query_main(args: &[String]) -> ExitCode {
         }
         print_stats(&outcome.stats);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

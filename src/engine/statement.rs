@@ -19,7 +19,9 @@ use minesweeper_core::{
 };
 use minesweeper_storage::{ColumnType, Database, Dictionary, ExecStats, Tuple, Val, Value};
 
-use super::{CachedStatement, EngineError, ExecOptions};
+use super::cache::CachedStatement;
+use super::catalog::decode;
+use super::{EngineError, ExecOptions};
 
 /// Pipeline description shared by every sharded-execution explain (the
 /// `strategy` field carries the data-dependent variant; the `merge`
@@ -323,21 +325,13 @@ impl PreparedStatement {
         })
     }
 
-    /// Decodes one stored tuple into the visible, typed output row.
-    fn decode_row(&self, t: &[Val]) -> Vec<Value> {
-        t.iter()
-            .enumerate()
-            .filter(|&(a, _)| self.visible[a])
-            .map(|(a, &v)| match self.entry.attr_types[a] {
-                ColumnType::Int => Value::Int(v),
-                ColumnType::Str => Value::Str(
-                    self.dict
-                        .resolve(v)
-                        .map(str::to_string)
-                        .unwrap_or_else(|| format!("#{v}")),
-                ),
-            })
-            .collect()
+    /// The visible cells of one stored tuple with their column types —
+    /// what the row codec decodes or prints.
+    fn visible_cells<'t>(&'t self, t: &'t [Val]) -> impl Iterator<Item = (Val, ColumnType)> + 't {
+        let cells = t.iter().zip(&self.entry.attr_types).zip(&self.visible);
+        cells
+            .filter(|&(_, &visible)| visible)
+            .map(|((&v, &ty), _)| (v, ty))
     }
 
     /// Opens a decoded stream over the statement.
@@ -537,7 +531,7 @@ impl Iterator for StatementStream<'_> {
 
     fn next(&mut self) -> Option<Vec<Value>> {
         let t = self.next_tuple()?;
-        Some(self.stmt.decode_row(&t))
+        Some(decode(self.stmt.visible_cells(&t), &self.stmt.dict))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

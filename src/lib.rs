@@ -22,9 +22,10 @@
 //!
 //! The front door is the [`engine::Engine`]: it owns the database, a
 //! schema catalog with typed (integer *and* string) columns behind a
-//! dictionary encoder, and a prepared-statement cache, so planning and
-//! GAO re-indexing are paid once per query shape and repeated executions
-//! go straight to the probe loop:
+//! dictionary encoder — one row codec converts every cell on the way in
+//! and out — and a prepared-statement cache, so planning and GAO
+//! re-indexing are paid once per query shape and repeated executions go
+//! straight to the probe loop:
 //!
 //! ```
 //! use minesweeper_join::engine::{Engine, ExecOptions};
@@ -131,7 +132,8 @@ pub use minesweeper_workloads as workloads;
 
 /// The most common imports in one place: the engine front door
 /// ([`engine::Engine`], [`engine::PreparedStatement`],
-/// [`engine::ExecOptions`]), the plan/stream API ([`core::plan()`],
+/// [`engine::ExecOptions`], [`engine::StatementResult`]), the plan/stream
+/// API ([`core::plan()`],
 /// [`core::Plan`], [`core::ExecStream`]), the [`core::Algorithm`] trait
 /// with its baselines registry ([`baselines::registry::lookup`]), and the
 /// storage/CDS types they rely on.

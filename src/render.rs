@@ -38,8 +38,9 @@ use std::io::{self, Write};
 
 use minesweeper_baselines::lookup;
 use minesweeper_core::{json_string, ShardStats};
-use minesweeper_storage::{ExecStats, Value};
+use minesweeper_storage::ExecStats;
 
+use crate::engine::catalog::cell_texts;
 use crate::engine::{DispatchKind, EngineError, ExecOptions, PreparedStatement, Remainder};
 
 /// What [`write_body`] did: how many data rows went out, whether the
@@ -66,12 +67,6 @@ pub struct BodyOutcome {
     pub deadline_exceeded: bool,
 }
 
-/// One output row as tab-separated cells.
-fn row_text(row: &[Value]) -> String {
-    let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-    cells.join("\t")
-}
-
 /// Writes the full result body for `stmt` under `opts` (see the module
 /// docs). Execution errors are returned; consumer disconnects are
 /// reported in the outcome.
@@ -85,7 +80,7 @@ pub fn write_body(
     w.line(format_args!("# {}", stmt.columns().join("\t")));
     while !w.disconnected {
         let Some(row) = stream.next() else { break };
-        w.data_line(format_args!("{}", row_text(&row)));
+        w.data_line(format_args!("{}", cell_texts(&row).join("\t")));
     }
     // A deadline that passed mid-stream ends the body here: no truncation
     // marker (the body is not a truthful `limit` cut), just a prefix the

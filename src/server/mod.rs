@@ -43,7 +43,6 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::engine::Engine;
-use crate::render::BodyOutcome;
 
 /// The default worker budget when `--budget` is not given: one worker
 /// per logical CPU, the same capacity one all-cores parallel query uses.
@@ -101,254 +100,163 @@ impl Shared {
     pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
     }
+}
 
-    /// A coherent-enough snapshot of the service counters (each counter
-    /// is individually consistent; the set is not a transaction).
-    pub(crate) fn stats(&self) -> ServerStats {
-        let m = &self.metrics;
-        let (in_flight, peak) = self.budget.in_flight_and_peak();
-        // The sum of all relation version counters: a global monotone
-        // data-version clock. Two STATS snapshots with equal
-        // `data_version` saw identical logical data.
-        let data_version = self
-            .engine
-            .db()
-            .versions()
-            .iter()
-            .map(|&(_, v)| v)
-            .sum::<u64>();
-        // Durability numbers come from the engine's store, not Metrics:
-        // the WAL/checkpoint machinery is the source of truth and also
-        // counts recovery-time work no session ever saw.
-        let d = self.engine.durability_stats().unwrap_or_default();
-        ServerStats {
-            connections: m.connections.load(Ordering::Relaxed),
-            active: m.active.load(Ordering::Relaxed),
-            requests: m.requests.load(Ordering::Relaxed),
-            errors: m.errors.load(Ordering::Relaxed),
-            rows: m.rows.load(Ordering::Relaxed),
-            disconnects: m.disconnects.load(Ordering::Relaxed),
-            outputs: m.outputs.load(Ordering::Relaxed),
-            find_gap_calls: m.find_gap_calls.load(Ordering::Relaxed),
-            probe_points: m.probe_points.load(Ordering::Relaxed),
-            writes: m.writes.load(Ordering::Relaxed),
-            rows_inserted: m.rows_inserted.load(Ordering::Relaxed),
-            rows_deleted: m.rows_deleted.load(Ordering::Relaxed),
-            compactions: m.compactions.load(Ordering::Relaxed),
-            data_version,
-            budget: self.budget.budget() as u64,
-            in_flight: in_flight as u64,
-            peak_in_flight: peak as u64,
-            admitted: self.budget.admitted(),
-            waited: self.budget.waited(),
-            wal_records: d.wal_records,
-            wal_bytes: d.wal_bytes,
-            checkpoints: d.checkpoints,
-            recoveries: d.recoveries,
-            replayed_records: d.replayed_records,
-            prepared: m.prepared.load(Ordering::Relaxed),
-            exec_hits: m.exec_hits.load(Ordering::Relaxed),
-            deadlines: m.deadlines.load(Ordering::Relaxed),
-            flushes: m.flushes.load(Ordering::Relaxed),
-            // From the engine, not Metrics: the parse counter is bumped
-            // inside `Engine::prepare`, so it also counts embedded use —
-            // the point is that EXEC never moves it.
-            query_parses: self.engine.query_parses(),
+/// The one table of service counters. Each entry is a field of
+/// [`ServerStats`] and — in this order — a `name value` line of the
+/// `STATS` body: `name;` is a tally (a relaxed `AtomicU64` in [`Metrics`]
+/// that sessions bump), `name = expr;` a gauge read from its source of
+/// truth when [`Shared::stats`] takes a snapshot. Adding a counter is
+/// adding one entry here (and its row in `docs/SERVICE.md`, which
+/// `ci/check_docs.sh` diffs against this table).
+macro_rules! counters {
+    (|$shared:ident| { $($prelude:tt)* }
+     $( $(#[$doc:meta])* $name:ident $(= $gauge:expr)?; )*) => {
+        /// A public snapshot of the server's counters — what `STATS` reports and
+        /// what the tests assert against.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $( $(#[$doc])* pub $name: u64, )*
         }
+
+        impl ServerStats {
+            /// The counters as `(name, value)` pairs — the `STATS` body, one
+            /// `name value` line each, in this order.
+            pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($name)),*].len()] {
+                [$( (stringify!($name), self.$name), )*]
+            }
+
+            /// Parses a `STATS` response body (the inverse of [`fields`]).
+            ///
+            /// [`fields`]: ServerStats::fields
+            pub fn parse_body(body: &str) -> Option<ServerStats> {
+                let mut stats = ServerStats::default();
+                for line in body.lines() {
+                    let (name, value) = line.split_once(' ')?;
+                    let value: u64 = value.parse().ok()?;
+                    match name {
+                        $( stringify!($name) => stats.$name = value, )*
+                        _ => return None,
+                    }
+                }
+                Some(stats)
+            }
+        }
+
+        impl Shared {
+            /// A coherent-enough snapshot of the service counters (each counter
+            /// is individually consistent; the set is not a transaction).
+            pub(crate) fn stats(&self) -> ServerStats {
+                let $shared = self;
+                $($prelude)*
+                ServerStats {
+                    $( $name: counters!(@read $shared $name $(= $gauge)?), )*
+                }
+            }
+        }
+
+        counters!(@tallies [] $( $name $(= $gauge)?; )*);
+    };
+    (@read $shared:ident $name:ident) => {
+        $shared.metrics.$name.load(Ordering::Relaxed)
+    };
+    (@read $shared:ident $name:ident = $gauge:expr) => {
+        $gauge
+    };
+    (@tallies [$($tally:ident)*]) => {
+        /// Whole-process service tallies. Relaxed atomics: these are
+        /// monotonic counts, not synchronization.
+        #[derive(Default)]
+        pub(crate) struct Metrics {
+            $( pub(crate) $tally: AtomicU64, )*
+        }
+    };
+    (@tallies [$($tally:ident)*] $name:ident; $($rest:tt)*) => {
+        counters!(@tallies [$($tally)* $name] $($rest)*);
+    };
+    (@tallies [$($tally:ident)*] $name:ident = $gauge:expr; $($rest:tt)*) => {
+        counters!(@tallies [$($tally)*] $($rest)*);
+    };
+}
+
+counters! {
+    |s| {
+        let (in_flight, peak) = s.budget.in_flight_and_peak();
+        // Durability numbers come from the engine's store: the
+        // WAL/checkpoint machinery is the source of truth and also counts
+        // recovery-time work no session ever saw.
+        let wal = s.engine.durability_stats().unwrap_or_default();
     }
-}
-
-/// Whole-process service counters. Relaxed atomics: these are monotonic
-/// tallies, not synchronization.
-#[derive(Default)]
-pub(crate) struct Metrics {
-    pub(crate) connections: AtomicU64,
-    pub(crate) active: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) rows: AtomicU64,
-    pub(crate) disconnects: AtomicU64,
-    pub(crate) outputs: AtomicU64,
-    pub(crate) find_gap_calls: AtomicU64,
-    pub(crate) probe_points: AtomicU64,
-    pub(crate) writes: AtomicU64,
-    pub(crate) rows_inserted: AtomicU64,
-    pub(crate) rows_deleted: AtomicU64,
-    pub(crate) compactions: AtomicU64,
-    pub(crate) prepared: AtomicU64,
-    pub(crate) exec_hits: AtomicU64,
-    pub(crate) deadlines: AtomicU64,
-    pub(crate) flushes: AtomicU64,
-}
-
-impl Metrics {
-    /// Folds one completed (or cancelled) response body into the tallies.
-    pub(crate) fn absorb(&self, outcome: &BodyOutcome) {
-        self.rows.fetch_add(outcome.rows as u64, Ordering::Relaxed);
-        self.outputs
-            .fetch_add(outcome.stats.outputs, Ordering::Relaxed);
-        self.find_gap_calls
-            .fetch_add(outcome.stats.find_gap_calls, Ordering::Relaxed);
-        self.probe_points
-            .fetch_add(outcome.stats.probe_points, Ordering::Relaxed);
-    }
-}
-
-/// A public snapshot of the server's counters — what `STATS` reports and
-/// what the tests assert against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
     /// Connections accepted since start.
-    pub connections: u64,
+    connections;
     /// Connections currently open.
-    pub active: u64,
+    active;
     /// Query requests received (well-formed `Q` lines).
-    pub requests: u64,
+    requests;
     /// Requests answered with an `ERR` line (protocol or engine).
-    pub errors: u64,
+    errors;
     /// Data rows streamed to clients.
-    pub rows: u64,
+    rows;
     /// Bodies cut short by a client disconnect (work was cancelled).
-    pub disconnects: u64,
+    disconnects;
     /// Engine output tuples produced across all requests.
-    pub outputs: u64,
+    outputs;
     /// Engine `FindGap` calls across all requests (≈ certificate work).
-    pub find_gap_calls: u64,
+    find_gap_calls;
     /// Engine probe points across all requests.
-    pub probe_points: u64,
+    probe_points;
     /// Write requests executed (`W INSERT` / `W DELETE` that reached the
     /// engine, whether or not they changed anything).
-    pub writes: u64,
+    writes;
     /// Rows that actually joined a relation (set semantics — duplicate
     /// inserts don't count).
-    pub rows_inserted: u64,
+    rows_inserted;
     /// Rows that actually left a relation (missing deletes don't count).
-    pub rows_deleted: u64,
+    rows_deleted;
     /// Write deltas folded into fresh bases by `W COMPACT`.
-    pub compactions: u64,
+    compactions;
     /// Sum of every relation's version counter — a monotone data-version
     /// clock (equal clocks ⇒ identical logical data).
-    pub data_version: u64,
+    data_version = s.engine.db().versions().iter().map(|&(_, v)| v).sum();
     /// The configured admission budget.
-    pub budget: u64,
+    budget = s.budget.budget() as u64;
     /// Worker permits currently held.
-    pub in_flight: u64,
+    in_flight = in_flight as u64;
     /// High-water mark of held permits (never exceeds `budget`).
-    pub peak_in_flight: u64,
+    peak_in_flight = peak as u64;
     /// Requests admitted through the budget.
-    pub admitted: u64,
+    admitted = s.budget.admitted();
     /// Requests that queued before admission.
-    pub waited: u64,
+    waited = s.budget.waited();
     /// WAL records appended since open (0 without `--data-dir`).
-    pub wal_records: u64,
+    wal_records = wal.wal_records;
     /// WAL bytes appended since open.
-    pub wal_bytes: u64,
+    wal_bytes = wal.wal_bytes;
     /// Durability checkpoints committed since open.
-    pub checkpoints: u64,
+    checkpoints = wal.checkpoints;
     /// 1 when this process recovered its data directory on boot.
-    pub recoveries: u64,
+    recoveries = wal.recoveries;
     /// WAL tail records replayed during that recovery.
-    pub replayed_records: u64,
+    replayed_records = wal.replayed_records;
     /// `PREPARE` requests that stored a statement.
-    pub prepared: u64,
+    prepared;
     /// `EXEC` requests served from a connection's prepared-statement map
     /// (whether or not a staleness re-prepare was needed first).
-    pub exec_hits: u64,
+    exec_hits;
     /// Query responses terminated by `ERR DEADLINE` — work the server
     /// cancelled itself when a request's deadline passed. Deliberately
     /// *not* counted in `errors`: like a disconnect, a deadline is a
     /// caller-requested cancellation, not a failed request.
-    pub deadlines: u64,
+    deadlines;
     /// Coalesced response-body flushes (socket pushes) across all
     /// sessions. With per-line flushing this would equal body lines;
     /// the gap between the two is the batching win.
-    pub flushes: u64,
+    flushes;
     /// Query texts parsed by the engine since start (`Q` and `PREPARE`
     /// parse; `EXEC` does not — flat `query_parses` across `EXEC`s is
-    /// the prepared-statement fast path working).
-    pub query_parses: u64,
-}
-
-impl ServerStats {
-    /// The counters as `(name, value)` pairs — the `STATS` body, one
-    /// `name value` line each, in this order.
-    pub fn fields(&self) -> [(&'static str, u64); 29] {
-        [
-            ("connections", self.connections),
-            ("active", self.active),
-            ("requests", self.requests),
-            ("errors", self.errors),
-            ("rows", self.rows),
-            ("disconnects", self.disconnects),
-            ("outputs", self.outputs),
-            ("find_gap_calls", self.find_gap_calls),
-            ("probe_points", self.probe_points),
-            ("writes", self.writes),
-            ("rows_inserted", self.rows_inserted),
-            ("rows_deleted", self.rows_deleted),
-            ("compactions", self.compactions),
-            ("data_version", self.data_version),
-            ("budget", self.budget),
-            ("in_flight", self.in_flight),
-            ("peak_in_flight", self.peak_in_flight),
-            ("admitted", self.admitted),
-            ("waited", self.waited),
-            ("wal_records", self.wal_records),
-            ("wal_bytes", self.wal_bytes),
-            ("checkpoints", self.checkpoints),
-            ("recoveries", self.recoveries),
-            ("replayed_records", self.replayed_records),
-            ("prepared", self.prepared),
-            ("exec_hits", self.exec_hits),
-            ("deadlines", self.deadlines),
-            ("flushes", self.flushes),
-            ("query_parses", self.query_parses),
-        ]
-    }
-
-    /// Parses a `STATS` response body (the inverse of [`fields`]).
-    ///
-    /// [`fields`]: ServerStats::fields
-    pub fn parse_body(body: &str) -> Option<ServerStats> {
-        let mut stats = ServerStats::default();
-        for line in body.lines() {
-            let (name, value) = line.split_once(' ')?;
-            let value: u64 = value.parse().ok()?;
-            match name {
-                "connections" => stats.connections = value,
-                "active" => stats.active = value,
-                "requests" => stats.requests = value,
-                "errors" => stats.errors = value,
-                "rows" => stats.rows = value,
-                "disconnects" => stats.disconnects = value,
-                "outputs" => stats.outputs = value,
-                "find_gap_calls" => stats.find_gap_calls = value,
-                "probe_points" => stats.probe_points = value,
-                "writes" => stats.writes = value,
-                "rows_inserted" => stats.rows_inserted = value,
-                "rows_deleted" => stats.rows_deleted = value,
-                "compactions" => stats.compactions = value,
-                "data_version" => stats.data_version = value,
-                "budget" => stats.budget = value,
-                "in_flight" => stats.in_flight = value,
-                "peak_in_flight" => stats.peak_in_flight = value,
-                "admitted" => stats.admitted = value,
-                "waited" => stats.waited = value,
-                "wal_records" => stats.wal_records = value,
-                "wal_bytes" => stats.wal_bytes = value,
-                "checkpoints" => stats.checkpoints = value,
-                "recoveries" => stats.recoveries = value,
-                "replayed_records" => stats.replayed_records = value,
-                "prepared" => stats.prepared = value,
-                "exec_hits" => stats.exec_hits = value,
-                "deadlines" => stats.deadlines = value,
-                "flushes" => stats.flushes = value,
-                "query_parses" => stats.query_parses = value,
-                _ => return None,
-            }
-        }
-        Some(stats)
-    }
+    /// the prepared-statement fast path working). Counted inside
+    /// `Engine::prepare`, so it includes embedded use.
+    query_parses = s.engine.query_parses();
 }
 
 /// A running query service: a bound listener, its accept thread, and the
@@ -510,6 +418,25 @@ mod tests {
             .collect();
         assert_eq!(ServerStats::parse_body(&body), Some(stats));
         assert_eq!(ServerStats::parse_body("nonsense line"), None);
+    }
+
+    /// The `STATS` body is a wire contract: names, order and count are
+    /// pinned here, so a counter is added on purpose (and documented in
+    /// `docs/SERVICE.md` — `ci/check_docs.sh` diffs the two lists).
+    #[test]
+    fn stats_names_and_order_are_pinned() {
+        let names: Vec<&str> = ServerStats::default()
+            .fields()
+            .iter()
+            .map(|(n, _)| *n)
+            .collect();
+        assert_eq!(
+            names.join(" "),
+            "connections active requests errors rows disconnects outputs find_gap_calls \
+             probe_points writes rows_inserted rows_deleted compactions data_version budget \
+             in_flight peak_in_flight admitted waited wal_records wal_bytes checkpoints \
+             recoveries replayed_records prepared exec_hits deadlines flushes query_parses"
+        );
     }
 
     #[test]

@@ -255,29 +255,28 @@ fn parse_exec_request(rest: &str) -> Result<Request, String> {
         return Err("EXEC needs a statement name".to_string());
     };
     check_statement_name(name)?;
-    let mut overrides = ExecOverrides::default();
+    // Overrides are ordinary execution options applied to a blank slate;
+    // what was set is what overrides.
+    let mut opts = ExecOptions::default();
+    let mut timeout = None;
     for token in tokens {
-        match token.split_once('=') {
-            Some(("limit", v)) => {
-                overrides.limit = Some(
-                    v.parse()
-                        .map_err(|_| format!("limit= expects a count, got {v:?}"))?,
-                );
+        let set = match token.split_once('=') {
+            Some((key @ ("limit" | "timeout" | "threads"), v)) => {
+                set_exec_option(key, v, &mut opts, &mut timeout)?
             }
-            Some(("timeout", v)) => overrides.timeout = Some(parse_timeout(v)?),
-            Some(("threads", v)) => {
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("threads= expects a count, got {v:?}"))?;
-                overrides.threads = Some(n.max(1));
-            }
-            _ => {
-                return Err(format!(
-                    "EXEC takes only limit=/timeout=/threads= overrides, got {token:?}"
-                ))
-            }
+            _ => false,
+        };
+        if !set {
+            return Err(format!(
+                "EXEC takes only limit=/timeout=/threads= overrides, got {token:?}"
+            ));
         }
     }
+    let overrides = ExecOverrides {
+        limit: opts.limit,
+        timeout,
+        threads: (opts.threads > 0).then_some(opts.threads),
+    };
     Ok(Request::Exec {
         name: name.to_string(),
         overrides,
@@ -300,13 +299,39 @@ fn check_statement_name(name: &str) -> Result<(), String> {
     }
 }
 
-/// Parses a `timeout=` value: whole milliseconds. `0` is legal and means
-/// "already expired" — useful for deterministic cancellation tests.
-fn parse_timeout(v: &str) -> Result<Duration, String> {
-    let ms: u64 = v
-        .parse()
-        .map_err(|_| format!("timeout= expects whole milliseconds, got {v:?}"))?;
-    Ok(Duration::from_millis(ms))
+/// Sets one execution option from its text value — the one owner of
+/// the `algo` / `threads` / `limit` / `timeout` grammar, shared by the
+/// `Q`, `PREPARE` and `EXEC` option tokens and the CLI's `--algo`,
+/// `--threads`, `--limit` flags. `Ok(false)` when `key` names no
+/// execution option; `Err` is the message for a malformed value.
+///
+/// * `threads=N` — any explicit thread request, `0` included, selects
+///   the parallel engine with at least one worker;
+/// * `timeout=MS` — whole milliseconds; `0` is legal and means "already
+///   expired", useful for deterministic cancellation tests.
+pub fn set_exec_option(
+    key: &str,
+    value: &str,
+    opts: &mut ExecOptions,
+    timeout: &mut Option<Duration>,
+) -> Result<bool, String> {
+    let count = || {
+        let n = value.parse::<usize>();
+        n.map_err(|_| format!("{key}= expects a count, got {value:?}"))
+    };
+    match key {
+        "algo" => opts.algo = Some(value.to_string()),
+        "threads" => opts.threads = count()?.max(1),
+        "limit" => opts.limit = Some(count()?),
+        "timeout" => {
+            let ms = value
+                .parse()
+                .map_err(|_| format!("timeout= expects whole milliseconds, got {value:?}"))?;
+            *timeout = Some(Duration::from_millis(ms));
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 fn parse_query_spec(verb: &str, mut rest: &str) -> Result<QuerySpec, String> {
@@ -330,35 +355,12 @@ fn parse_query_spec(verb: &str, mut rest: &str) -> Result<QuerySpec, String> {
                 true
             }
             _ => match token.split_once('=') {
-                Some(("algo", v)) if !v.is_empty() => {
-                    opts.algo = Some(v.to_string());
-                    true
-                }
-                Some(("threads", v)) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("threads= expects a count, got {v:?}"))?;
-                    // Mirror the CLI: any explicit thread request —
-                    // including 0 — selects the parallel engine with at
-                    // least one worker.
-                    opts.threads = n.max(1);
-                    true
-                }
-                Some(("limit", v)) => {
-                    let k: usize = v
-                        .parse()
-                        .map_err(|_| format!("limit= expects a count, got {v:?}"))?;
-                    opts.limit = Some(k);
-                    true
-                }
-                Some(("timeout", v)) => {
-                    timeout = Some(parse_timeout(v)?);
-                    true
-                }
                 Some(("explain", v)) => {
                     return Err(format!("explain takes no value except json, got {v:?}"))
                 }
-                _ => false,
+                // `algo=` with no name is not an option: it starts the query.
+                Some(("algo", "")) | None => false,
+                Some((key, v)) => set_exec_option(key, v, &mut opts, &mut timeout)?,
             },
         };
         if !consumed {

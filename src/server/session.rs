@@ -43,16 +43,21 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::render::{write_body, write_explain};
+use crate::render::{write_body, write_explain, BodyOutcome};
 
 use super::protocol::{
     err_line, ok_line, parse_request, ExplainFormat, Request, WriteAction, BODY_PREFIX, CODE_PROTO,
 };
-use super::Shared;
-use crate::engine::{DispatchKind, Engine, EngineError, ExecOptions, PreparedStatement};
+use super::{Metrics, Shared};
+use crate::engine::{DispatchKind, EngineError, ExecOptions, PreparedStatement};
 
 /// How often a blocked read wakes up to poll the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
+
+/// Prepared statements one connection may hold at a time; a `PREPARE`
+/// of a new name beyond it is a protocol error (re-preparing an existing
+/// name is always allowed). Bounds what a client can pin in memory.
+const MAX_PREPARED: usize = 1024;
 
 /// Request lines longer than this are a protocol violation (the engine's
 /// query grammar never needs more; this bounds a hostile client's
@@ -101,9 +106,7 @@ fn serve(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Oversized request: report and hang up — the rest of
                 // the line would have to be skipped blind.
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                control(&mut writer, &err_line(CODE_PROTO, &e.to_string()))?;
-                return Ok(());
+                return reply_err(&mut writer, shared, CODE_PROTO, &e.to_string());
             }
             Err(e) => return Err(e),
         };
@@ -113,8 +116,7 @@ fn serve(stream: TcpStream, shared: &Shared) -> io::Result<()> {
         let request = match parse_request(&line) {
             Ok(r) => r,
             Err(msg) => {
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                control(&mut writer, &err_line(CODE_PROTO, &msg))?;
+                reply_err(&mut writer, shared, CODE_PROTO, &msg)?;
                 continue;
             }
         };
@@ -136,48 +138,29 @@ fn serve(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 action,
                 relation,
                 cells,
-            } => match run_write(shared, action, &relation, &cells) {
-                Ok(changed) => control(&mut writer, &ok_line(changed))?,
-                Err(e) => {
-                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    control(&mut writer, &err_line(e.code(), &e.to_string()))?;
-                }
-            },
+            } => {
+                let changed = run_write(shared, action, &relation, cells);
+                reply(&mut writer, shared, changed)?;
+            }
             Request::Compact { relation } => {
                 // Explicit compactions go through the logged path, so a
                 // recovered engine repeats them (threshold-triggered ones
                 // are content-neutral and re-trigger on their own).
-                match shared.engine.compact_logged(relation.as_deref()) {
-                    Ok(n) => {
-                        shared
-                            .metrics
-                            .compactions
-                            .fetch_add(n as u64, Ordering::Relaxed);
-                        control(&mut writer, &ok_line(n))?;
-                    }
-                    Err(e) => {
-                        shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        control(&mut writer, &err_line(e.code(), &e.to_string()))?;
-                    }
+                let folded = shared.engine.compact_logged(relation.as_deref());
+                if let Ok(n) = folded {
+                    let compactions = &shared.metrics.compactions;
+                    compactions.fetch_add(n as u64, Ordering::Relaxed);
                 }
+                reply(&mut writer, shared, folded)?;
             }
-            Request::Checkpoint => match shared.engine.checkpoint() {
-                Ok(Some(report)) => control(&mut writer, &ok_line(report.relations))?,
-                Ok(None) => {
-                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    control(
-                        &mut writer,
-                        &err_line(
-                            "STORAGE",
-                            "this server has no data directory (start with --data-dir)",
-                        ),
-                    )?;
-                }
-                Err(e) => {
-                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    control(&mut writer, &err_line(e.code(), &e.to_string()))?;
-                }
-            },
+            Request::Checkpoint => {
+                let dumped = shared.engine.checkpoint().and_then(|report| {
+                    let in_memory = "this server has no data directory (start with --data-dir)";
+                    let report = report.ok_or_else(|| EngineError::Storage(in_memory.into()))?;
+                    Ok(report.relations)
+                });
+                reply(&mut writer, shared, dumped)?;
+            }
             Request::Query {
                 opts,
                 timeout,
@@ -197,39 +180,41 @@ fn serve(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 opts,
                 timeout,
                 text,
-            } => match shared.engine.prepare(&text) {
-                Ok(stmt) => {
-                    shared.metrics.prepared.fetch_add(1, Ordering::Relaxed);
-                    prepared.insert(
-                        name,
-                        PreparedEntry {
-                            text,
-                            opts,
-                            timeout,
-                            stmt,
-                        },
+            } => {
+                if prepared.len() >= MAX_PREPARED && !prepared.contains_key(&name) {
+                    let msg = format!(
+                        "this connection already holds {MAX_PREPARED} prepared statements \
+                         (UNPREPARE one first)"
                     );
-                    control(&mut writer, &ok_line(0))?;
+                    reply_err(&mut writer, shared, CODE_PROTO, &msg)?;
+                    continue;
                 }
-                Err(e) => {
-                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    control(&mut writer, &err_line(e.code(), &e.to_string()))?;
-                }
-            },
+                // Resolve the options now: a statement every `EXEC` would
+                // reject (`algo=nope`) is refused here and never stored.
+                let planned = shared.engine.prepare(&text).and_then(|stmt| {
+                    stmt.dispatch_kind(&opts)?;
+                    Ok(stmt)
+                });
+                let stored = planned.map(|stmt| {
+                    shared.metrics.prepared.fetch_add(1, Ordering::Relaxed);
+                    let entry = PreparedEntry {
+                        text,
+                        opts,
+                        timeout,
+                        stmt,
+                    };
+                    prepared.insert(name, entry);
+                    0
+                });
+                reply(&mut writer, shared, stored)?;
+            }
             Request::Exec { name, overrides } => {
                 shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
                 let Some(entry) = prepared.get_mut(&name) else {
-                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    control(
-                        &mut writer,
-                        &err_line(
-                            CODE_PROTO,
-                            &format!(
-                                "no prepared statement {name:?} on this connection (PREPARE it \
-                                 first)"
-                            ),
-                        ),
-                    )?;
+                    let msg = format!(
+                        "no prepared statement {name:?} on this connection (PREPARE it first)"
+                    );
+                    reply_err(&mut writer, shared, CODE_PROTO, &msg)?;
                     continue;
                 };
                 // A write since PREPARE bumped some base relation's
@@ -241,8 +226,7 @@ fn serve(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     match shared.engine.prepare(&entry.text) {
                         Ok(stmt) => entry.stmt = stmt,
                         Err(e) => {
-                            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                            control(&mut writer, &err_line(e.code(), &e.to_string()))?;
+                            reply(&mut writer, shared, Err(e))?;
                             continue;
                         }
                     }
@@ -282,11 +266,7 @@ fn run_query(
 ) -> io::Result<bool> {
     let stmt = match shared.engine.prepare(text) {
         Ok(stmt) => stmt,
-        Err(e) => {
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            control(writer, &err_line(e.code(), &e.to_string()))?;
-            return Ok(true);
-        }
+        Err(e) => return reply(writer, shared, Err(e)).map(|()| true),
     };
 
     if let Some(format) = explain {
@@ -294,18 +274,10 @@ fn run_query(
             let mut body = PrefixWriter::new(writer);
             write_explain(&mut body, &stmt, opts, format == ExplainFormat::Json)
         };
-        let connected = match result {
-            Ok(connected) => connected,
-            Err(e) => {
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                control(writer, &err_line(e.code(), &e.to_string()))?;
-                return Ok(true);
-            }
+        return match result {
+            Ok(false) => Ok(false),
+            result => reply(writer, shared, result.map(|_| 0)).map(|()| true),
         };
-        if connected {
-            control(writer, &ok_line(0))?;
-        }
-        return Ok(connected);
     }
 
     execute_statement(writer, shared, &stmt, opts, timeout)
@@ -335,11 +307,7 @@ fn execute_statement(
     // know the cost in the first place.
     let kind = match stmt.dispatch_kind(&opts) {
         Ok(kind) => kind,
-        Err(e) => {
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            control(writer, &err_line(e.code(), &e.to_string()))?;
-            return Ok(true);
-        }
+        Err(e) => return reply(writer, shared, Err(e)).map(|()| true),
     };
     // A request may name any worker count, but it runs with — and is
     // charged for — at most the whole budget: `acquire` clamps the cost
@@ -359,31 +327,28 @@ fn execute_statement(
         write_body(&mut body, stmt, &opts)
     };
     drop(permit); // the response is produced; free the workers before flushing OK
-    match outcome {
-        Ok(o) => {
-            shared.metrics.absorb(&o);
-            if o.disconnected {
-                return Ok(false);
-            }
-            if o.deadline_exceeded {
-                deadline_err(writer, shared, started)?;
-                return Ok(true);
-            }
-            control(writer, &ok_line(o.rows))?;
-            Ok(true)
-        }
-        // A materializing path hit the deadline before producing any
-        // body byte: same terminator, same counter.
-        Err(EngineError::DeadlineExceeded) => {
-            deadline_err(writer, shared, started)?;
-            Ok(true)
-        }
-        Err(e) => {
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            control(writer, &err_line(e.code(), &e.to_string()))?;
-            Ok(true)
-        }
+    let rows = match outcome.inspect(|o| absorb(&shared.metrics, o)) {
+        Ok(o) if o.disconnected => return Ok(false),
+        Ok(o) if o.deadline_exceeded => Err(EngineError::DeadlineExceeded),
+        Ok(o) => Ok(o.rows),
+        Err(e) => Err(e),
+    };
+    match rows {
+        // The deadline passed — mid-stream, or on a materializing path
+        // before any body byte: same terminator, same counter.
+        Err(EngineError::DeadlineExceeded) => deadline_err(writer, shared, started)?,
+        rows => reply(writer, shared, rows)?,
     }
+    Ok(true)
+}
+
+/// Folds one completed (or cancelled) response body into the tallies.
+fn absorb(metrics: &Metrics, outcome: &BodyOutcome) {
+    let add = |tally: &AtomicU64, n: u64| tally.fetch_add(n, Ordering::Relaxed);
+    add(&metrics.rows, outcome.rows as u64);
+    add(&metrics.outputs, outcome.stats.outputs);
+    add(&metrics.find_gap_calls, outcome.stats.find_gap_calls);
+    add(&metrics.probe_points, outcome.stats.probe_points);
 }
 
 /// Terminates an expired response: bumps `deadlines` (deliberately not
@@ -416,11 +381,10 @@ fn run_write(
     shared: &Shared,
     action: WriteAction,
     relation: &str,
-    cells: &[String],
+    cells: Vec<String>,
 ) -> Result<usize, EngineError> {
     let engine = &shared.engine;
-    let id = engine.db().id_of(relation)?;
-    let row = Engine::type_row(relation, engine.schema(id), cells)?;
+    let row = engine.type_cells(relation, cells)?;
     let outcome = match action {
         WriteAction::Insert => engine.insert(relation, [row])?,
         WriteAction::Delete => engine.delete(relation, [row])?,
@@ -445,6 +409,30 @@ fn run_write(
 fn control(writer: &mut BufWriter<TcpStream>, line: &str) -> io::Result<()> {
     writeln!(writer, "{line}")?;
     writer.flush()
+}
+
+/// The one `ERR` reply path: counts the error, writes the control line.
+fn reply_err(
+    writer: &mut BufWriter<TcpStream>,
+    shared: &Shared,
+    code: &str,
+    message: &str,
+) -> io::Result<()> {
+    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+    control(writer, &err_line(code, message))
+}
+
+/// Terminates a response: `OK <n>`, or the engine error under its stable
+/// code (see [`EngineError::code`]).
+fn reply(
+    writer: &mut BufWriter<TcpStream>,
+    shared: &Shared,
+    result: Result<usize, EngineError>,
+) -> io::Result<()> {
+    match result {
+        Ok(n) => control(writer, &ok_line(n)),
+        Err(e) => reply_err(writer, shared, e.code(), &e.to_string()),
+    }
 }
 
 /// A newline reader over a non-blocking-ish socket: read timeouts are
@@ -532,16 +520,7 @@ impl<'w, W: Write> PrefixWriter<'w, W> {
     /// A per-line-flushing writer for small fixed bodies (`STATS`,
     /// `explain`) where coalescing buys nothing.
     fn new(inner: &'w mut W) -> Self {
-        PrefixWriter {
-            inner,
-            at_line_start: true,
-            pending_lines: 0,
-            pending_bytes: 0,
-            total_lines: 0,
-            flush_rows: 1,
-            flush_bytes: usize::MAX,
-            flushes: None,
-        }
+        Self::with(inner, 1, usize::MAX, None)
     }
 
     /// A watermark-flushing writer for query bodies; every flush it
@@ -552,6 +531,15 @@ impl<'w, W: Write> PrefixWriter<'w, W> {
         flush_bytes: usize,
         flushes: &'w AtomicU64,
     ) -> Self {
+        Self::with(inner, flush_rows, flush_bytes, Some(flushes))
+    }
+
+    fn with(
+        inner: &'w mut W,
+        flush_rows: usize,
+        flush_bytes: usize,
+        flushes: Option<&'w AtomicU64>,
+    ) -> Self {
         PrefixWriter {
             inner,
             at_line_start: true,
@@ -560,7 +548,7 @@ impl<'w, W: Write> PrefixWriter<'w, W> {
             total_lines: 0,
             flush_rows: flush_rows.max(1),
             flush_bytes,
-            flushes: Some(flushes),
+            flushes,
         }
     }
 

@@ -45,13 +45,15 @@
 //! the database-level [`parse_query`] used by embedded integer-only
 //! callers reports them as unsupported.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
-use minesweeper_core::{Plan, Query};
+use minesweeper_core::{Atom, Plan, Query};
 use minesweeper_storage::{
     ColumnType, Database, RelationBuilder, StorageError, TrieRelation, Val, Value,
 };
+
+use crate::engine::catalog::type_cell;
 
 /// Errors from parsing relation files or query strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,43 +127,46 @@ impl From<StorageError> for TextError {
 /// columns, load through [`parse_typed_relation`] +
 /// [`crate::engine::Engine::add_relation`] instead.
 pub fn parse_relation(name: &str, text: &str) -> Result<TrieRelation, TextError> {
-    let mut builder: Option<RelationBuilder> = None;
-    let mut arity = 0usize;
+    let mut builder: Option<(RelationBuilder, usize)> = None;
     let mut row: Vec<Val> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
+    for (line, tokens) in tuple_lines(text) {
         row.clear();
-        for token in line.split_whitespace() {
+        for token in tokens {
             let v: Val = token.parse().map_err(|_| TextError::BadTuple {
-                line: i + 1,
+                line,
                 token: token.to_string(),
             })?;
             row.push(v);
         }
-        match &mut builder {
-            None => {
-                arity = row.len();
-                let mut b = RelationBuilder::new(name, arity);
-                b.push(&row);
-                builder = Some(b);
-            }
-            Some(b) => {
-                if row.len() != arity {
-                    return Err(TextError::InconsistentArity {
-                        line: i + 1,
-                        expected: arity,
-                        got: row.len(),
-                    });
-                }
-                b.push(&row);
-            }
-        }
+        // Arity is the first tuple's.
+        let (b, arity) =
+            builder.get_or_insert_with(|| (RelationBuilder::new(name, row.len()), row.len()));
+        check_arity(line, *arity, row.len())?;
+        b.push(&row);
     }
-    let builder = builder.ok_or(TextError::EmptyRelation)?;
+    let (builder, _) = builder.ok_or(TextError::EmptyRelation)?;
     Ok(builder.build()?)
+}
+
+/// The tuple lines of a relation file as `(1-based line number, cells)`:
+/// `#` comments stripped, blank lines dropped.
+fn tuple_lines(text: &str) -> impl Iterator<Item = (usize, std::str::SplitWhitespace<'_>)> {
+    text.lines().enumerate().filter_map(|(i, line)| {
+        let line = line.split('#').next().unwrap_or("").trim();
+        (!line.is_empty()).then(|| (i + 1, line.split_whitespace()))
+    })
+}
+
+/// Every tuple line has the first one's column count.
+fn check_arity(line: usize, expected: usize, got: usize) -> Result<(), TextError> {
+    if got == expected {
+        return Ok(());
+    }
+    Err(TextError::InconsistentArity {
+        line,
+        expected,
+        got,
+    })
 }
 
 /// A relation parsed with per-column type inference, ready for
@@ -183,27 +188,12 @@ pub struct TypedRelation {
 /// byte-compatible with the untyped path.
 pub fn parse_typed_relation(name: &str, text: &str) -> Result<TypedRelation, TextError> {
     let mut raw: Vec<Vec<String>> = Vec::new();
-    let mut arity = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let row: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        if raw.is_empty() {
-            arity = row.len();
-        } else if row.len() != arity {
-            return Err(TextError::InconsistentArity {
-                line: i + 1,
-                expected: arity,
-                got: row.len(),
-            });
-        }
+    for (line, tokens) in tuple_lines(text) {
+        let row: Vec<String> = tokens.map(str::to_string).collect();
+        check_arity(line, raw.first().map_or(row.len(), Vec::len), row.len())?;
         raw.push(row);
     }
-    if raw.is_empty() {
-        return Err(TextError::EmptyRelation);
-    }
+    let arity = raw.first().ok_or(TextError::EmptyRelation)?.len();
     let types: Vec<ColumnType> = (0..arity)
         .map(|c| {
             if raw.iter().all(|r| r[c].parse::<Val>().is_ok()) {
@@ -218,10 +208,7 @@ pub fn parse_typed_relation(name: &str, text: &str) -> Result<TypedRelation, Tex
         .map(|r| {
             r.into_iter()
                 .zip(&types)
-                .map(|(cell, ty)| match ty {
-                    ColumnType::Int => Value::Int(cell.parse().expect("column inferred Int")),
-                    ColumnType::Str => Value::Str(cell),
-                })
+                .map(|(cell, &ty)| type_cell(cell, ty).expect("column inferred Int"))
                 .collect()
         })
         .collect();
@@ -357,15 +344,15 @@ pub struct ParsedQuery {
     pub query: Query,
 }
 
-/// Assigns GAO positions to attribute *slots* (variables, and — in the
-/// engine — literal occurrences), numbered `0..n_slots` in
-/// first-appearance order, such that every atom's slot sequence is
-/// strictly increasing in the returned positions. Queries written in a
-/// usable order keep exactly their first-appearance numbering (the
-/// greedy topological sort prefers lower slot numbers); queries whose
-/// atoms order the same pair of attributes both ways have no consistent
-/// GAO and are rejected. Returns `pos[slot]` = GAO position.
-pub(crate) fn assign_gao_positions(
+/// Assigns GAO positions to attribute *slots* (variables and literal
+/// occurrences), numbered `0..n_slots` in first-appearance order, such
+/// that every atom's slot sequence is strictly increasing in the returned
+/// positions. Queries written in a usable order keep exactly their
+/// first-appearance numbering (the greedy topological sort prefers lower
+/// slot numbers); queries whose atoms order the same pair of attributes
+/// both ways have no consistent GAO and are rejected. Returns
+/// `pos[slot]` = GAO position.
+fn assign_gao_positions(
     n_slots: usize,
     atoms: &[(String, Vec<usize>)],
 ) -> Result<Vec<usize>, TextError> {
@@ -409,63 +396,111 @@ pub(crate) fn assign_gao_positions(
     Ok(pos)
 }
 
+/// A query syntax tree bound to a database — the one "query text →
+/// [`Query`]" path, shared by [`parse_query`] (which admits no literals)
+/// and [`crate::engine::Engine::prepare`] (which types them into seeds).
+/// Every vector is indexed by GAO position.
+pub(crate) struct BoundQuery {
+    /// The query, atoms bound to the database's relations.
+    pub(crate) query: Query,
+    /// Attribute names; a literal position is named by its source text.
+    pub(crate) attr_names: Vec<String>,
+    /// False at literal positions: pinned to a constant, not output.
+    pub(crate) visible: Vec<bool>,
+    /// `(position, constant)` per literal occurrence, in written order.
+    pub(crate) literals: Vec<(usize, Value)>,
+}
+
+/// Binds a syntax tree to `db`: one attribute *slot* per variable and one
+/// per literal occurrence, in first-appearance order; GAO positions
+/// consistent with every atom's written column order (first-appearance
+/// numbering when feasible, the closest consistent reordering otherwise
+/// — which is what lets a literal sit before an already-bound variable,
+/// as in `F(a, b), F("jfk", b)`); then relation and arity resolution.
+pub(crate) fn bind_query(ast: Vec<QueryAtomAst>, db: &Database) -> Result<BoundQuery, TextError> {
+    let mut slot_ids: HashMap<String, usize> = HashMap::new();
+    // Per slot: its name, and the constant when it is a literal.
+    let mut slots: Vec<(String, Option<Value>)> = Vec::new();
+    let mut new_slot = |name: String, literal: Option<Value>| {
+        slots.push((name, literal));
+        slots.len() - 1
+    };
+    let mut atoms: Vec<(String, Vec<usize>)> = Vec::with_capacity(ast.len());
+    for atom in ast {
+        let mut atom_slots = Vec::with_capacity(atom.args.len());
+        for arg in atom.args {
+            atom_slots.push(match arg {
+                QueryArg::Var(v) => match slot_ids.get(&v) {
+                    Some(&slot) => slot,
+                    None => {
+                        let slot = new_slot(v.clone(), None);
+                        slot_ids.insert(v, slot);
+                        slot
+                    }
+                },
+                QueryArg::StrLit(s) => new_slot(format!("{s:?}"), Some(Value::Str(s))),
+                QueryArg::IntLit(v) => new_slot(v.to_string(), Some(Value::Int(v))),
+            });
+        }
+        atoms.push((atom.relation, atom_slots));
+    }
+    let pos = assign_gao_positions(slots.len(), &atoms)?;
+    let n = slots.len();
+    let mut bound = BoundQuery {
+        query: Query::new(n),
+        attr_names: vec![String::new(); n],
+        visible: vec![true; n],
+        literals: Vec::new(),
+    };
+    for (slot, (name, literal)) in slots.into_iter().enumerate() {
+        bound.attr_names[pos[slot]] = name;
+        if let Some(value) = literal {
+            bound.visible[pos[slot]] = false;
+            bound.literals.push((pos[slot], value));
+        }
+    }
+    for (name, atom_slots) in atoms {
+        let rel = db
+            .id_of(&name)
+            .map_err(|_| TextError::UnknownRelation(name.clone()))?;
+        let arity = db.relation(rel).arity();
+        if arity != atom_slots.len() {
+            return Err(TextError::AtomArity {
+                relation: name,
+                atom: atom_slots.len(),
+                relation_arity: arity,
+            });
+        }
+        bound.query.atoms.push(Atom {
+            rel,
+            attrs: atom_slots.iter().map(|&s| pos[s]).collect(),
+        });
+    }
+    Ok(bound)
+}
+
 /// Parses `R(x, y), S(y, z)`-style query text against a database. The GAO
 /// is the order of first appearance of each attribute name whenever that
 /// order is consistent with every atom; otherwise the closest consistent
 /// reordering is chosen (and truly conflicting queries are rejected).
 /// Literal arguments (string or integer constants) are reported as errors
-/// here — they need the engine front door, which owns the dictionary and
-/// the constant-binding relations.
+/// here — they need the engine front door, which owns the dictionary a
+/// constant is encoded through.
 pub fn parse_query(text: &str, db: &Database) -> Result<ParsedQuery, TextError> {
     let ast = parse_query_ast(text)?;
-    let mut attr_ids: BTreeMap<String, usize> = BTreeMap::new();
-    let mut slot_names: Vec<String> = Vec::new();
-    let mut atoms: Vec<(String, Vec<usize>)> = Vec::new();
-    for atom in ast {
-        let mut positions = Vec::new();
-        for arg in atom.args {
-            let attr = match arg {
-                QueryArg::Var(v) => v,
-                QueryArg::StrLit(_) | QueryArg::IntLit(_) => {
-                    return Err(TextError::BadQuery(
-                        "literal arguments are only supported through the Engine \
-                         (use minesweeper_join::engine::Engine::prepare)"
-                            .to_string(),
-                    ))
-                }
-            };
-            let id = *attr_ids.entry(attr.clone()).or_insert_with(|| {
-                slot_names.push(attr.clone());
-                slot_names.len() - 1
-            });
-            positions.push(id);
-        }
-        atoms.push((atom.relation, positions));
+    let literal = |arg: &QueryArg| !matches!(arg, QueryArg::Var(_));
+    if ast.iter().any(|atom| atom.args.iter().any(literal)) {
+        return Err(TextError::BadQuery(
+            "literal arguments are only supported through the Engine \
+             (use minesweeper_join::engine::Engine::prepare)"
+                .to_string(),
+        ));
     }
-    let pos = assign_gao_positions(slot_names.len(), &atoms)?;
-    let mut attr_names = vec![String::new(); slot_names.len()];
-    for (slot, name) in slot_names.into_iter().enumerate() {
-        attr_names[pos[slot]] = name;
-    }
-    let mut query = Query::new(attr_names.len());
-    for (name, positions) in atoms {
-        let rel = db
-            .id_of(&name)
-            .map_err(|_| TextError::UnknownRelation(name.clone()))?;
-        let arity = db.relation(rel).arity();
-        if arity != positions.len() {
-            return Err(TextError::AtomArity {
-                relation: name,
-                atom: positions.len(),
-                relation_arity: arity,
-            });
-        }
-        query.atoms.push(minesweeper_core::Atom {
-            rel,
-            attrs: positions.iter().map(|&s| pos[s]).collect(),
-        });
-    }
-    Ok(ParsedQuery { attr_names, query })
+    let bound = bind_query(ast, db)?;
+    Ok(ParsedQuery {
+        attr_names: bound.attr_names,
+        query: bound.query,
+    })
 }
 
 /// A [`Plan`]'s [`minesweeper_core::ExplainPlan`] with relation and

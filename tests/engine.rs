@@ -485,19 +485,58 @@ fn matrix_engine() -> Engine {
     e
 }
 
+/// The option matrix's queries: (text, must re-index?).
+const MATRIX_QUERIES: [(&str, bool); 4] = [
+    ("A(x), B(x)", false),
+    ("R(a, b, c), S(a, c), T(b, c)", true),
+    ("R(a, b, 3), T(b, 3)", true),
+    ("G(n, \"never-seen\")", false),
+];
+
+/// One binder, two front doors: for every literal-free matrix query (and
+/// a written order that forces a GAO reordering) `text::parse_query` and
+/// `Engine::prepare` agree on attribute names, GAO positions and atom
+/// bindings; for the literal ones `parse_query` refuses, as documented.
+#[test]
+fn parse_query_and_prepare_bind_identically() {
+    use minesweeper_join::text::{parse_query, TextError};
+
+    let e = matrix_engine();
+    let db = e.db();
+    let reordered = ("S(a, c), R(a, b, c), T(b, c)", true);
+    for (text, _) in MATRIX_QUERIES.into_iter().chain([reordered]) {
+        let stmt = e.prepare(text).unwrap();
+        if text.contains(['"', '3']) {
+            assert!(
+                matches!(parse_query(text, &db), Err(TextError::BadQuery(m)) if m.contains("Engine")),
+                "{text}"
+            );
+            continue;
+        }
+        let parsed = parse_query(text, &db).unwrap();
+        assert_eq!(
+            parsed.attr_names,
+            stmt.columns(),
+            "{text}: names by GAO position"
+        );
+        assert_eq!(
+            &parsed.query,
+            stmt.plan().query(),
+            "{text}: atoms and positions"
+        );
+    }
+    // First appearance says a, c, b; R's column order forces a, b, c.
+    let stmt = e.prepare(reordered.0).unwrap();
+    assert_eq!(stmt.columns(), ["a", "b", "c"], "closest consistent order");
+}
+
 #[test]
 fn execute_stream_and_body_agree_across_the_option_matrix() {
     use minesweeper_join::render::{body_string, write_body};
     use std::time::{Duration, Instant};
 
     let e = matrix_engine();
-    // (query, must re-index?)
-    let queries = [
-        ("A(x), B(x)", false),
-        ("R(a, b, c), S(a, c), T(b, c)", true),
-        ("R(a, b, 3), T(b, 3)", true),
-        ("G(n, \"never-seen\")", false),
-    ];
+    let queries = MATRIX_QUERIES;
     type Mode = fn(ExecOptions) -> ExecOptions;
     let modes: [(&str, Mode); 4] = [
         ("serial", |o| o),

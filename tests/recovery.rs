@@ -593,3 +593,154 @@ proptest! {
         }
     }
 }
+
+/// Whitespace-free strings hostile to every text format a row crosses —
+/// the loader's comment leader, the log's escape and empty-cell markers,
+/// quotes, the empty string, non-ASCII, digit-only strings that must stay
+/// strings in a `str` column (the codec's own round-trip property, in
+/// `src/engine/catalog.rs`, draws from the same pool).
+const HOSTILE: [&str; 12] = [
+    "%", "#", "%-", "%23", "\"", "'q'", "", "naïve", "日本", "007", "42", "-1",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The row codec is one rule in both directions of the log: a batch
+    /// over a random `int`/`str` schema applied live (typed values →
+    /// stored, and → text for its WAL record) equals that record replayed
+    /// (text → typed values → stored) — decoded rows *and* rendered body
+    /// bytes. Both engines start from the same checkpoint, so they intern
+    /// in the same order and even the row order must agree.
+    #[test]
+    fn a_live_batch_equals_its_replayed_wal_record(
+        strs in prop::collection::vec(prop::bool::ANY, 1..4),
+        loaded in prop::collection::vec(prop::collection::vec((0i64..6, 0..HOSTILE.len()), 3), 0..8),
+        batch in prop::collection::vec(
+            (prop::bool::ANY, prop::collection::vec((0i64..6, 0..HOSTILE.len()), 3)),
+            1..10,
+        ),
+    ) {
+        use minesweeper_join::engine::RowOp;
+        use minesweeper_join::storage::ColumnType;
+
+        let types: Vec<ColumnType> = strs
+            .iter()
+            .map(|&s| if s { ColumnType::Str } else { ColumnType::Int })
+            .collect();
+        let typed = |row: &Vec<(i64, usize)>| -> Vec<Value> {
+            let cells = row.iter().zip(&types);
+            cells
+                .map(|(&(int, word), ty)| match ty {
+                    ColumnType::Int => Value::Int(int),
+                    ColumnType::Str => Value::Str(HOSTILE[word].to_string()),
+                })
+                .collect()
+        };
+        let vars: Vec<String> = (0..types.len()).map(|c| format!("c{c}")).collect();
+        let scan = format!("T({})", vars.join(", "));
+        let answers = |e: &Engine| {
+            let stmt = e.prepare(&scan).unwrap();
+            let rows = stmt.execute(&ExecOptions::default()).unwrap().rows;
+            (rows, body_string(&stmt, &ExecOptions::default()).unwrap())
+        };
+
+        let tmp = TempDir::new("prop-codec");
+        let (mut boot, _) = Engine::open_durable(tmp.path(), opts_nosync()).unwrap();
+        boot.add_relation("T", &types, loaded.iter().map(typed)).unwrap();
+        boot.checkpoint().unwrap();
+        drop(boot);
+
+        let (live, report) = reopen(tmp.path());
+        prop_assert_eq!(report.replayed_records, 0);
+        let ops = batch.iter().map(|(insert, row)| match insert {
+            true => RowOp::Insert(typed(row)),
+            false => RowOp::Delete(typed(row)),
+        });
+        live.apply_batch("T", ops).unwrap();
+        let want = answers(&live);
+        drop(live);
+
+        let (replayed, report) = reopen(tmp.path());
+        prop_assert_eq!(report.replayed_records, 1);
+        prop_assert!(report.warnings.is_empty());
+        prop_assert_eq!(answers(&replayed), want);
+    }
+}
+
+/// On-disk compatibility with the previous release, pinned as golden
+/// bytes: the script below, logged by the commit before the row codec
+/// existed, produced exactly these WAL records and this checkpoint —
+/// hostile string cells, a vacuous delete and a single-row `INSERT`
+/// record included. The engine must still *write* them byte for byte
+/// (so an older binary recovers a newer directory) and must *recover*
+/// a directory holding only them (so a newer binary recovers an older
+/// one) to the never-crashed reference.
+#[test]
+fn previous_release_bytes_are_written_and_recovered_unchanged() {
+    const WAL: &str = "e256ab567822c83b W 1 BATCH R 0 I 3 7 ; I 6 5\n\
+        3698f1b1fa487e4d W 2 BATCH F 0 I lax jfk ; I %- jfk ; \
+        I %23%20not%20a%20comment sfo ; I per%25cent semi%3bcolon ; \
+        I two%20words tab%09here ; I %25- lax\n\
+        232e2e11fd3a79eb W 3 BATCH F 1 D %- jfk ; D nowhere jfk\n\
+        2ab3e918df9907dd W 4 INSERT R 1 8 9\n";
+    const CHECKPOINT_2: [(&str, &str); 4] = [
+        (
+            "MANIFEST",
+            "manifest 2\nwal 1 253 4\nrel R 1 6 int int\nrel S 0 3 int int\n\
+             rel F 2 7 str str\nok 531f54bcc1b415cc\n",
+        ),
+        ("rel-000.tsv", "1\t5\n2\t7\n3\t7\n4\t9\n6\t5\n8\t9\n"),
+        ("rel-001.tsv", "5\t10\n7\t11\n9\t12\n"),
+        (
+            "rel-002.tsv",
+            "jfk\tsfo\nsfo\tlax\nlax\tjfk\n%23%20not%20a%20comment\tsfo\n\
+             per%25cent\tsemi%3bcolon\ntwo%20words\ttab%09here\n%25-\tlax\n",
+        ),
+    ];
+    let fresh = reference(0);
+    for step in [0, 3, 5, 6] {
+        apply_step(&fresh, step);
+    }
+
+    // Written now == written then.
+    let tmp = TempDir::new("golden-write");
+    let e = boot_durable(tmp.path(), opts_nosync());
+    for step in [0, 3, 5] {
+        apply_step(&e, step);
+    }
+    assert_eq!(e.checkpoint().unwrap().unwrap().id, 2);
+    apply_step(&e, 6);
+    drop(e);
+    let wal = read_segment_bytes(&tmp.wal_dir(), 1).unwrap();
+    assert_eq!(String::from_utf8(wal).unwrap(), WAL);
+    let ckpt = tmp.path().join("checkpoints").join("ckpt-000002");
+    for (file, bytes) in CHECKPOINT_2 {
+        assert_eq!(
+            std::fs::read_to_string(ckpt.join(file)).unwrap(),
+            bytes,
+            "{file}"
+        );
+    }
+
+    // Written then, recovered now: a directory holding only the golden
+    // bytes (checkpoint 2 plus the log it pins at offset 253).
+    let old = TempDir::new("golden-read");
+    let ckpt = old.path().join("checkpoints").join("ckpt-000002");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    std::fs::create_dir_all(old.wal_dir()).unwrap();
+    for (file, bytes) in CHECKPOINT_2 {
+        std::fs::write(ckpt.join(file), bytes).unwrap();
+    }
+    write_segment_bytes(&old.wal_dir(), 1, WAL.as_bytes()).unwrap();
+    let (recovered, report) = reopen(old.path());
+    assert_eq!(report.checkpoint_id, 2);
+    assert_eq!(
+        report.replayed_records, 1,
+        "only the record past offset 253"
+    );
+    assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+    for opts in &all_option_sets() {
+        assert_eq!(snapshot(&recovered, opts), snapshot(&fresh, opts));
+    }
+}

@@ -744,6 +744,87 @@ fn prepare_exec_skips_parsing_and_matches_one_shot_bytes() {
     server.shutdown().unwrap();
 }
 
+/// `PREPARE` resolves its options before storing anything: a statement
+/// every `EXEC` would reject is refused up front with the same code the
+/// equivalent `Q` gets, and leaves no name behind.
+#[test]
+fn prepare_rejects_an_unknown_algorithm_and_stores_nothing() {
+    let server = Server::start(Arc::new(small_engine()), "127.0.0.1:0", 2).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.request("PREPARE bad algo=nope -- R(x, y)").unwrap() {
+        Reply::Err { code, message } => {
+            assert_eq!(code, "ALGO");
+            assert!(message.contains("nope"), "{message}");
+        }
+        other => panic!("expected ERR ALGO at PREPARE time, got {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!((stats.prepared, stats.errors), (0, 1));
+    // Nothing was stored under the name …
+    match client.request("EXEC bad").unwrap() {
+        Reply::Err { code, message } => {
+            assert_eq!(code, "PROTO");
+            assert!(message.contains("no prepared statement"), "{message}");
+        }
+        other => panic!("expected PROTO, got {other:?}"),
+    }
+    assert!(matches!(
+        client.request("UNPREPARE bad").unwrap(),
+        Reply::Ok { rows: 0, .. }
+    ));
+    // … and a valid algorithm under the same name still prepares and runs.
+    assert!(matches!(
+        client
+            .request("PREPARE bad algo=leapfrog -- R(x, y)")
+            .unwrap(),
+        Reply::Ok { rows: 0, .. }
+    ));
+    assert!(matches!(
+        client.request("EXEC bad").unwrap(),
+        Reply::Ok { rows: 8, .. }
+    ));
+    server.shutdown().unwrap();
+}
+
+/// A connection's statement map is bounded: the 1 025th distinct name is
+/// a protocol error, while re-preparing a held name and preparing after
+/// an `UNPREPARE` both still work.
+#[test]
+fn prepared_statements_per_connection_are_bounded() {
+    const BOUND: usize = 1024;
+    let server = Server::start(Arc::new(small_engine()), "127.0.0.1:0", 2).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let ok = |reply: Reply| matches!(reply, Reply::Ok { rows: 0, .. });
+    for i in 0..BOUND {
+        let reply = client.request(&format!("PREPARE s{i} -- R(x, y)")).unwrap();
+        assert!(ok(reply), "statement {i} fits");
+    }
+    match client.request("PREPARE one-too-many -- R(x, y)").unwrap() {
+        Reply::Err { code, message } => {
+            assert_eq!(code, "PROTO");
+            assert!(message.contains("1024 prepared statements"), "{message}");
+        }
+        other => panic!("expected PROTO at the bound, got {other:?}"),
+    }
+    assert_eq!(server.stats().prepared, BOUND as u64);
+    // Re-PREPARE of a held name replaces it in place.
+    assert!(ok(client.request("PREPARE s7 limit=1 -- S(y, z)").unwrap()));
+    assert!(matches!(
+        client.request("EXEC s7").unwrap(),
+        Reply::Ok { rows: 1, .. }
+    ));
+    // Dropping one makes room for a new name; another connection has its
+    // own map.
+    assert!(matches!(
+        client.request("UNPREPARE s0").unwrap(),
+        Reply::Ok { rows: 1, .. }
+    ));
+    assert!(ok(client.request("PREPARE fits-now -- R(x, y)").unwrap()));
+    let mut other = Client::connect(server.addr()).unwrap();
+    assert!(ok(other.request("PREPARE s1 -- R(x, y)").unwrap()));
+    server.shutdown().unwrap();
+}
+
 /// The batching contract: a deliberately slow reader taking tiny paced
 /// reads off the raw socket still reassembles the exact renderer bytes,
 /// and the per-body flush count follows the documented watermark
