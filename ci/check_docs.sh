@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Doc-link check: fails when a markdown file references a repository
-# path that does not exist, or when a design doc is unreachable. Three
-# kinds of checks run:
+# Doc and bookkeeping check: fails when a markdown file references a
+# repository path that does not exist, when a design doc is unreachable,
+# or when a list kept in two places has drifted. The checks:
 #
 #   1. relative markdown link targets:   [text](docs/FOO.md)
 #   2. backticked repo paths:            `crates/core/src/plan.rs`
@@ -13,6 +13,12 @@
 #   4. `STATS` counters: the names in the one `counters!` table of
 #      src/server/mod.rs and the names in the counter table of
 #      docs/SERVICE.md must be the same set.
+#   5. the bench manifest: the binaries named in ci/bench_manifest.txt and
+#      the crates/bench/src/bin/*.rs experiments (all but bench_gate.rs)
+#      must be the same set.
+#   6. retired names: no tracked file outside the history files and the
+#      ledger (whose stats.rs uses the English word) may name the
+#      measurement systems the ledger and the exact gate replaced.
 #
 # Usage: ci/check_docs.sh [FILE.md ...]   (defaults to docs/*.md,
 # README.md, and ci/README.md, run from the repository root; the
@@ -121,6 +127,32 @@ if [ -f "$stats_src" ] && [ -f "$stats_doc" ]; then
         echo "ERROR: STATS counter \`$name\` is in $stats_doc but not in $stats_src"
         fail=1
     done < <(comm -13 <(echo "$in_code") <(echo "$in_docs"))
+fi
+
+# 5. The bench manifest lists exactly the experiment binaries.
+manifest=ci/bench_manifest.txt
+in_manifest=$(grep -vE '^(#|$)' "$manifest" | cut -d' ' -f1 | sort)
+in_tree=$(basename -s .rs crates/bench/src/bin/*.rs | grep -vx bench_gate | sort)
+while IFS= read -r name; do
+    echo "ERROR: $manifest names \`$name\` but crates/bench/src/bin/$name.rs does not exist"
+    fail=1
+done < <(comm -23 <(echo "$in_manifest") <(echo "$in_tree"))
+while IFS= read -r name; do
+    echo "ERROR: crates/bench/src/bin/$name.rs is missing from $manifest"
+    fail=1
+done < <(comm -13 <(echo "$in_manifest") <(echo "$in_tree"))
+
+# 6. Retired measurement names (bracketed so this script does not match
+#    itself): the wall-clock counter prefix, the load generator, the
+#    micro-bench crate.
+retired='time[_]ms_|serve[_]load|criteri[o]n'
+if hits=$(git grep -nE "$retired" -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' \
+              ':!crates/bench/src/bin/ledger'); then
+    echo "$hits" | sed 's/^/ERROR: retired name in /'
+    fail=1
+elif [ $? -ne 1 ]; then
+    echo "ERROR: git grep failed; run from a git checkout"
+    fail=1
 fi
 
 if [ "$fail" -ne 0 ]; then

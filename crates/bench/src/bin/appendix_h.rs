@@ -7,9 +7,8 @@
 //! Usage: `cargo run --release -p minesweeper-bench --bin appendix_h
 //! [--n size] [--json FILE]`. With `--json` each family's deterministic
 //! work counters (Minesweeper probes and `FindGap`s, DLM seeks, m-way
-//! merge comparisons, output size — the random family is seeded) and
-//! ungated wall times are written as flat JSON for CI's `bench_gate`
-//! regression check.
+//! merge comparisons, output size — the random family is seeded) are
+//! written as flat JSON for CI's exact `bench_gate`.
 
 use minesweeper_baselines::{adaptive_intersection, merge_intersection};
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
@@ -64,9 +63,6 @@ fn main() {
         record.metric(format!("apxh_{slug}_findgap"), ms.stats.find_gap_calls);
         record.metric(format!("apxh_{slug}_dlm_seeks"), ad.stats.seeks);
         record.metric(format!("apxh_{slug}_merge_cmps"), mg.stats.comparisons);
-        record.time_ms(&format!("apxh_{slug}_ms"), t_ms);
-        record.time_ms(&format!("apxh_{slug}_dlm"), t_ad);
-        record.time_ms(&format!("apxh_{slug}_merge"), t_mg);
         table.row(&[
             name.to_string(),
             human(total as u64),

@@ -7,9 +7,8 @@
 //! Usage: `cargo run --release -p minesweeper-bench --bin appendix_i
 //! [--nmax size] [--json FILE]`. With `--json` the deterministic work
 //! counters (bow-tie and generic-Minesweeper probe points, `FindGap`
-//! calls — the I.3 instances are fully deterministic) and ungated wall
-//! times are written as flat JSON for CI's `bench_gate` regression
-//! check.
+//! calls — the I.3 instances are fully deterministic) are written as
+//! flat JSON for CI's exact `bench_gate`.
 
 use minesweeper_baselines::yannakakis;
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
@@ -48,9 +47,6 @@ fn main() {
         record.metric(format!("apxi_n{n}_bowtie_probes"), bt.stats.probe_points);
         record.metric(format!("apxi_n{n}_ms_probes"), ms.stats.probe_points);
         record.metric(format!("apxi_n{n}_ms_findgap"), ms.stats.find_gap_calls);
-        record.time_ms(&format!("apxi_n{n}_bowtie"), t_bt);
-        record.time_ms(&format!("apxi_n{n}_ms"), t_ms);
-        record.time_ms(&format!("apxi_n{n}_yannakakis"), t_ya);
         table.row(&[
             human(inst.db.total_tuples() as u64),
             bt.stats.probe_points.to_string(),

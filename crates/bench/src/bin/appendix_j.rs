@@ -13,8 +13,8 @@
 //!
 //! Usage: `cargo run --release -p minesweeper-bench --bin appendix_j
 //! [--m atoms] [--mmax chunk] [--json FILE]`. With `--json` the
-//! deterministic work counters (and ungated wall times) are also written
-//! as flat JSON for CI's `bench_gate` regression check.
+//! deterministic work counters are also written as flat JSON for CI's
+//! exact `bench_gate`.
 
 use std::sync::Arc;
 
@@ -94,9 +94,6 @@ fn main() {
             ms.stats.find_gap_calls,
         );
         record.metric(format!("appendixj_m{chunk}_lftj_seeks"), lf.stats.seeks);
-        record.time_ms(&format!("appendixj_m{chunk}_ms"), t_ms);
-        record.time_ms(&format!("appendixj_m{chunk}_yannakakis"), t_ya);
-        record.time_ms(&format!("appendixj_m{chunk}_lftj"), t_lf);
         table.row(&[
             chunk.to_string(),
             human(n),
@@ -159,7 +156,6 @@ fn main() {
             format!("appendixj_skew_M{chunk}_findgap"),
             par.result.stats.find_gap_calls,
         );
-        record.time_ms(&format!("appendixj_skew_M{chunk}_par"), t_par);
         skew_table.row(&[
             chunk.to_string(),
             human(db.total_tuples() as u64),

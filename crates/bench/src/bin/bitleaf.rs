@@ -128,8 +128,6 @@ fn main() {
     record.metric("bitleaf_sweep_probes", probes);
     record.metric("bitleaf_sweep_bitset_probes", st_hybrid.bitset_probes);
     record.metric("bitleaf_sweep_words", st_hybrid.bitset_words_scanned);
-    record.time_ms("bitleaf_sweep_sorted", t_sorted);
-    record.time_ms("bitleaf_sweep_hybrid", t_hybrid);
 
     // ---- phase 2: Auto selection on dense data, silence on sparse.
     let auto = BitLeafRelation::build(sorted.clone(), LeafPolicy::Auto)
@@ -172,12 +170,10 @@ fn main() {
     record.metric("bitleaf_join_find_gap", jh.find_gap_calls);
     record.metric("bitleaf_join_bitset_probes", jh.bitset_probes);
     record.metric("bitleaf_join_dense_leaves", jh.dense_leaves);
-    record.time_ms("bitleaf_join_sorted", t_join_sorted);
-    record.time_ms("bitleaf_join_hybrid", t_join_hybrid);
 
     let mut table = Table::new(&["counter", "value"]);
     for (name, value) in record.metrics() {
-        table.row(&[name.clone(), human(*value as u64)]);
+        table.row(&[name.clone(), human(*value)]);
     }
     table.print();
     println!(

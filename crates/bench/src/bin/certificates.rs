@@ -11,8 +11,7 @@
 //! Usage: `cargo run --release -p minesweeper-bench --bin certificates
 //! [--n size] [--json FILE]`. With `--json` each example's deterministic
 //! work counters (measured `FindGap` certificate proxy, probe points,
-//! output size) and ungated wall times are written as flat JSON for CI's
-//! `bench_gate` regression check.
+//! output size) are written as flat JSON for CI's exact `bench_gate`.
 
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
 use minesweeper_cds::ProbeMode;
@@ -38,7 +37,6 @@ fn report(
     );
     record.metric(format!("cert_{slug}_probes"), res.stats.probe_points);
     record.metric(format!("cert_{slug}_z"), res.stats.outputs);
-    record.time_ms(&format!("cert_{slug}"), t);
     table.row(&[
         name.to_string(),
         human(n),

@@ -106,13 +106,11 @@ fn main() {
     record.metric("durability_wal_records", stats.wal_records);
     record.metric("durability_wal_bytes", stats.wal_bytes);
     record.metric("durability_changed_rows", changed);
-    record.time_ms("durability_log", t_log);
 
     // ---- phase 2: a mid-run checkpoint pins snapshot + WAL position.
     let (report, t_ckpt) = timed(|| engine.checkpoint().expect("checkpoint").unwrap());
     record.metric("durability_checkpoint_relations", report.relations as u64);
     record.metric("durability_checkpoint_rows", report.rows);
-    record.time_ms("durability_checkpoint", t_ckpt);
 
     // ---- phase 3: more batches form the tail; reopening replays them.
     for i in half..batches {
@@ -152,7 +150,6 @@ fn main() {
     assert_eq!(z_after, z_live, "recovery must not change any answer");
     record.metric("durability_replayed_records", report.replayed_records);
     record.metric("durability_z_after", z_after as u64);
-    record.time_ms("durability_recover", t_recover);
 
     // ---- phase 4: a torn final record is truncated, never refused.
     drop(engine);
@@ -177,13 +174,12 @@ fn main() {
         "exactly the cut record is lost"
     );
     record.metric("durability_torn_replayed", report.replayed_records);
-    record.time_ms("durability_torn_recover", t_torn);
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut table = Table::new(&["counter", "value"]);
     for (name, value) in record.metrics() {
-        table.row(&[name.clone(), human(*value as u64)]);
+        table.row(&[name.clone(), human(*value)]);
     }
     table.print();
     println!(

@@ -104,8 +104,6 @@ fn main() {
 
     record.metric("engine_cache_z", prepared_rows as u64);
     record.metric("engine_cache_probes_per_exec", probes_per_exec);
-    record.time_ms("engine_cache_replan_total", t_replan);
-    record.time_ms("engine_cache_prepared_total", t_prepared);
 
     let mut table = Table::new(&["regime", "execs", "Z", "probes/exec", "total time"]);
     table.row(&[

@@ -7,8 +7,8 @@
 //! [--scale k] [--p prob] [--seed s] [--json FILE]`. `--scale` multiplies
 //! the built-in per-dataset divisors (1 reproduces the default
 //! laptop-scale setup). With `--json` the deterministic work counters
-//! (FindGap = the |C| proxy, probe points, Z) and ungated wall times are
-//! written as flat JSON for CI's `bench_gate` regression check.
+//! (FindGap = the |C| proxy, probe points, Z) are written as flat JSON
+//! for CI's exact `bench_gate`.
 
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
 use minesweeper_cds::ProbeMode;
@@ -61,7 +61,6 @@ fn main() {
             record.metric(format!("{tag}_findgap"), c);
             record.metric(format!("{tag}_probes"), res.stats.probe_points);
             record.metric(format!("{tag}_z"), res.stats.outputs);
-            record.time_ms(&tag, t);
             table.row(&[
                 qname.to_string(),
                 profile.name.to_string(),

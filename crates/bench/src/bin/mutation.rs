@@ -117,8 +117,6 @@ fn main() {
     record.metric("mutation_delta_probes", lazy.delta_probes);
     record.metric("mutation_merge_steps", lazy.merge_steps);
     record.metric("mutation_materialize_steps", materialize_steps);
-    record.time_ms("mutation_apply", t_apply);
-    record.time_ms("mutation_sweep", t_sweep);
 
     // ---- phase 2: the same writes through the engine front door.
     let mut engine = Engine::new();
@@ -166,7 +164,6 @@ fn main() {
     record.metric("mutation_z_before", z_before as u64);
     record.metric("mutation_z_after", after.rows.len() as u64);
     record.metric("mutation_find_gap_calls", stats.find_gap_calls);
-    record.time_ms("mutation_writes", t_writes);
 
     // ---- phase 3: compaction is observationally silent.
     let (folded, t_compact) = timed(|| engine.compact());
@@ -183,11 +180,10 @@ fn main() {
         "compaction must not bump versions"
     );
     record.metric("mutation_compactions", folded as u64);
-    record.time_ms("mutation_compact", t_compact);
 
     let mut table = Table::new(&["counter", "value"]);
     for (name, value) in record.metrics() {
-        table.row(&[name.clone(), human(*value as u64)]);
+        table.row(&[name.clone(), human(*value)]);
     }
     table.print();
     println!(

@@ -7,8 +7,8 @@
 //! Usage: `cargo run --release -p minesweeper-bench --bin prop53
 //! [--mmax m] [--json FILE]`. With `--json` the deterministic work
 //! counters (probe points, backtracks, CDS next calls — `Q_w` instances
-//! are fully deterministic) and ungated wall times are written as flat
-//! JSON for CI's `bench_gate` regression check.
+//! are fully deterministic) are written as flat JSON for CI's exact
+//! `bench_gate`.
 
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
 use minesweeper_cds::ProbeMode;
@@ -43,7 +43,6 @@ fn main() {
         record.metric(format!("prop53_m{m}_probes"), res.stats.probe_points);
         record.metric(format!("prop53_m{m}_backtracks"), res.stats.backtracks);
         record.metric(format!("prop53_m{m}_next"), res.stats.cds_next_calls);
-        record.time_ms(&format!("prop53_m{m}"), t);
         table.row(&[
             m.to_string(),
             human(inst.db.total_tuples() as u64),

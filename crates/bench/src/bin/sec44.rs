@@ -8,8 +8,7 @@
 //! Usage: `cargo run --release -p minesweeper-bench --bin sec44
 //! [--layers l] [--wmax width] [--json FILE]`. With `--json` the
 //! deterministic work counters (MS probes, LFTJ seeks, NPRR comparisons)
-//! and ungated wall times are written as flat JSON for CI's `bench_gate`
-//! regression check.
+//! are written as flat JSON for CI's exact `bench_gate`.
 
 use minesweeper_baselines::{generic_join, leapfrog_triejoin};
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
@@ -52,9 +51,6 @@ fn main() {
             format!("sec44_w{width}_nprr_comparisons"),
             np.stats.comparisons,
         );
-        record.time_ms(&format!("sec44_w{width}_ms"), t_ms);
-        record.time_ms(&format!("sec44_w{width}_lftj"), t_lf);
-        record.time_ms(&format!("sec44_w{width}_nprr"), t_np);
         table.row(&[
             width.to_string(),
             human(inst.db.total_tuples() as u64),

@@ -11,9 +11,8 @@
 //! Usage: `cargo run --release -p minesweeper-bench --bin thm51
 //! [--nmax size] [--json FILE]`. With `--json` the deterministic work
 //! counters (probe points, CDS next calls, output size, LFTJ seeks — the
-//! instances are seeded, so every counter is reproducible) and ungated
-//! wall times are written as flat JSON for CI's `bench_gate` regression
-//! check.
+//! instances are seeded, so every counter is reproducible) are written
+//! as flat JSON for CI's exact `bench_gate`.
 
 use minesweeper_baselines::{generic_join, leapfrog_triejoin};
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
@@ -69,9 +68,6 @@ fn main() {
         record.metric(format!("thm51_n{n}_probes"), ms.stats.probe_points);
         record.metric(format!("thm51_n{n}_next"), ms.stats.cds_next_calls);
         record.metric(format!("thm51_n{n}_lftj_seeks"), lf.stats.seeks);
-        record.time_ms(&format!("thm51_n{n}_ms"), t_ms);
-        record.time_ms(&format!("thm51_n{n}_lftj"), t_lf);
-        record.time_ms(&format!("thm51_n{n}_nprr"), t_np);
         table.row(&[
             n.to_string(),
             human(db.total_tuples() as u64),

@@ -12,8 +12,8 @@
 //!
 //! Usage: `cargo run --release -p minesweeper-bench --bin triangle
 //! [--mmax m] [--edges e] [--json FILE]`. With `--json` the deterministic
-//! work counters (and ungated wall times) are also written as flat JSON
-//! for CI's `bench_gate` regression check.
+//! work counters are also written as flat JSON for CI's exact
+//! `bench_gate`.
 
 use minesweeper_baselines::leapfrog_triejoin;
 use minesweeper_bench::{arg_opt, arg_or, human, human_time, timed, BenchRecord, Table};
@@ -80,8 +80,6 @@ fn main() {
             format!("triangle_hard_m{m}_dyadic_next"),
             tri.stats.cds_next_calls,
         );
-        record.time_ms(&format!("triangle_hard_m{m}_generic"), t_gen);
-        record.time_ms(&format!("triangle_hard_m{m}_dyadic"), t_tri);
         t1.row(&[
             m.to_string(),
             human(db.total_tuples() as u64),
@@ -116,8 +114,6 @@ fn main() {
             tri.stats.cds_next_calls,
         );
         record.metric(format!("triangle_list_n{nodes}_lftj_seeks"), lf.stats.seeks);
-        record.time_ms(&format!("triangle_list_n{nodes}_dyadic"), t_tri);
-        record.time_ms(&format!("triangle_list_n{nodes}_lftj"), t_lf);
         t2.row(&[
             nodes.to_string(),
             human(db.total_tuples() as u64),

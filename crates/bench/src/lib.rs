@@ -1,9 +1,16 @@
-//! Shared utilities for the benchmark harnesses.
+//! Shared utilities for the experiment binaries.
 //!
-//! Every experiment in EXPERIMENTS.md has a binary in `src/bin/` that
-//! prints a paper-style table; this module provides the table renderer,
-//! unit formatting (the paper's `M`/`K` units from Figure 2), and a tiny
-//! wall-clock helper.
+//! Every experiment has a binary in `src/bin/` that prints a paper-style
+//! table and, under `--json FILE`, writes its deterministic **work
+//! counters** as a [`BenchRecord`]; `ci/bench.sh` runs the binaries listed
+//! in `ci/bench_manifest.txt` and `bench_gate` compares the counters
+//! exactly against `ci/bench_baseline.json`. This module provides the table
+//! renderer, unit formatting (the paper's `M`/`K` units from Figure 2), the
+//! `--flag value` helpers and the counter record. [`timed`] and
+//! [`human_time`] exist for the time columns of the printed tables
+//! (Figure 2 and Appendix I are runtime tables) and nothing else: no wall
+//! time is written to or read from a file here — that is the latency
+//! ledger's job (`BENCHMARK.json`).
 
 use std::time::{Duration, Instant};
 
@@ -106,38 +113,52 @@ impl Table {
     }
 }
 
-/// Parses a `--flag value` style argument from `std::env::args`, with a
-/// default.
-pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len().saturating_sub(1) {
-        if args[i] == flag {
-            if let Ok(v) = args[i + 1].parse() {
-                return v;
-            }
-        }
+/// The value after the first `flag` in `args`, parsed: `Ok(None)` when
+/// the flag is absent, `Err` naming the flag when it is the last argument
+/// or its value does not parse.
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    match value.parse() {
+        Ok(v) => Ok(Some(v)),
+        Err(_) => Err(format!("{flag}: cannot parse {value:?}")),
     }
-    default
+}
+
+/// [`parse_flag`] over `std::env::args`; a malformed flag is a usage
+/// error (exit 2), never a silent fall-back to the default.
+fn env_flag<T: std::str::FromStr>(flag: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    parse_flag(&args, flag).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses a `--flag value` style argument from `std::env::args`, with a
+/// default for an absent flag. Exits 2 when the value is missing or does
+/// not parse.
+pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
+    env_flag(flag).unwrap_or(default)
 }
 
 /// Parses an optional `--flag value` string argument from `std::env::args`.
+/// Exits 2 when the flag is the last argument.
 pub fn arg_opt(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    (0..args.len().saturating_sub(1))
-        .find(|&i| args[i] == flag)
-        .map(|i| args[i + 1].clone())
+    env_flag(flag)
 }
 
-/// A flat set of named benchmark metrics, serialized as the one-pair-per-
-/// line JSON object the CI regression gate consumes.
-///
-/// Two metric kinds by naming convention: **work counters** (deterministic
-/// — probe points, `FindGap` calls, CDS next calls, seeks) are gated by
-/// `bench_gate`; anything starting with `time_` is recorded for humans but
-/// never gated, because wall-clock on shared CI runners is noise.
+/// A flat set of named work counters (deterministic — probe points,
+/// `FindGap` calls, CDS next calls, seeks, output sizes), serialized as the
+/// one-pair-per-line JSON object `bench_gate` compares exactly against the
+/// checked-in baseline.
 #[derive(Debug, Default, Clone)]
 pub struct BenchRecord {
-    metrics: Vec<(String, f64)>,
+    metrics: Vec<(String, u64)>,
 }
 
 impl BenchRecord {
@@ -146,23 +167,9 @@ impl BenchRecord {
         Self::default()
     }
 
-    /// Adds a gated work-counter metric.
+    /// Adds a work counter.
     pub fn metric(&mut self, name: impl Into<String>, value: u64) {
-        self.push(name.into(), value as f64);
-    }
-
-    /// Adds an ungated wall-clock metric (`time_ms_` prefix enforced).
-    pub fn time_ms(&mut self, name: &str, d: Duration) {
-        self.push(format!("time_ms_{name}"), d.as_secs_f64() * 1e3);
-    }
-
-    /// Adds a raw fractional metric under its exact name (used when
-    /// merging already-recorded files, where names carry their prefixes).
-    pub fn metric_f64(&mut self, name: impl Into<String>, value: f64) {
-        self.push(name.into(), value);
-    }
-
-    fn push(&mut self, name: String, value: f64) {
+        let name = name.into();
         assert!(
             !self.metrics.iter().any(|(n, _)| *n == name),
             "duplicate metric {name}"
@@ -171,7 +178,7 @@ impl BenchRecord {
     }
 
     /// The metrics recorded so far, in insertion order.
-    pub fn metrics(&self) -> &[(String, f64)] {
+    pub fn metrics(&self) -> &[(String, u64)] {
         &self.metrics
     }
 
@@ -181,11 +188,7 @@ impl BenchRecord {
         let mut out = String::from("{\n");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
             let sep = if i + 1 == self.metrics.len() { "" } else { "," };
-            if value.fract() == 0.0 && value.abs() < 1e15 {
-                out.push_str(&format!("  \"{name}\": {}{sep}\n", *value as i64));
-            } else {
-                out.push_str(&format!("  \"{name}\": {value:.3}{sep}\n"));
-            }
+            out.push_str(&format!("  \"{name}\": {value}{sep}\n"));
         }
         out.push_str("}\n");
         out
@@ -198,10 +201,10 @@ impl BenchRecord {
 }
 
 /// Parses the flat-JSON metric format emitted by [`BenchRecord::to_json`]:
-/// a single object of `"name": number` pairs (no nesting, no strings, no
-/// arrays — by design, so no JSON dependency is needed). Returns pairs in
-/// file order.
-pub fn parse_flat_json(text: &str) -> Result<Vec<(String, f64)>, String> {
+/// a single object of `"name": count` pairs (no nesting, no strings, no
+/// arrays, no fractions — by design, so no JSON dependency is needed).
+/// Returns pairs in file order.
+pub fn parse_flat_json(text: &str) -> Result<Vec<(String, u64)>, String> {
     let body = text.trim();
     let body = body
         .strip_prefix('{')
@@ -221,10 +224,10 @@ pub fn parse_flat_json(text: &str) -> Result<Vec<(String, f64)>, String> {
             .strip_prefix('"')
             .and_then(|n| n.strip_suffix('"'))
             .ok_or_else(|| format!("metric name must be quoted: {pair:?}"))?;
-        let value: f64 = value
+        let value: u64 = value
             .trim()
             .parse()
-            .map_err(|e| format!("bad number in {pair:?}: {e}"))?;
+            .map_err(|e| format!("bad count in {pair:?}: {e}"))?;
         out.push((name.to_string(), value));
     }
     Ok(out)
@@ -275,16 +278,10 @@ mod tests {
         let mut r = BenchRecord::new();
         r.metric("triangle_hard_m12_generic_next", 12345);
         r.metric("appendixj_m8_ms_probes", 42);
-        r.time_ms("triangle_hard_m12_generic", Duration::from_micros(1500));
         let json = r.to_json();
         assert!(json.starts_with("{\n"), "{json}");
         assert!(json.contains("\"triangle_hard_m12_generic_next\": 12345,"));
-        assert!(json.contains("\"time_ms_triangle_hard_m12_generic\": 1.500"));
-        let parsed = parse_flat_json(&json).unwrap();
-        assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed[0].0, "triangle_hard_m12_generic_next");
-        assert_eq!(parsed[0].1, 12345.0);
-        assert!((parsed[2].1 - 1.5).abs() < 1e-9);
+        assert_eq!(parse_flat_json(&json).unwrap(), r.metrics());
     }
 
     #[test]
@@ -293,11 +290,28 @@ mod tests {
         assert!(parse_flat_json("{\"a\" 1}").is_err());
         assert!(parse_flat_json("{\"a\": x}").is_err());
         assert!(parse_flat_json("{a: 1}").is_err(), "unquoted name");
+        assert!(parse_flat_json("{\"a\": 2.5}").is_err(), "a wall time");
         assert_eq!(parse_flat_json("{}").unwrap(), vec![]);
         assert_eq!(
-            parse_flat_json("{ \"a\": 1, \"b\": 2.5 }").unwrap(),
-            vec![("a".to_string(), 1.0), ("b".to_string(), 2.5)]
+            parse_flat_json("{ \"a\": 1, \"b\": 25 }").unwrap(),
+            vec![("a".to_string(), 1), ("b".to_string(), 25)]
         );
+    }
+
+    #[test]
+    fn flags_parse_or_name_what_they_discard() {
+        let args: Vec<String> = ["thm27", "--n", "4o96", "--scale", "16", "--json"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(parse_flag::<usize>(&args, "--scale"), Ok(Some(16)));
+        assert_eq!(parse_flag::<usize>(&args, "--mmax"), Ok(None));
+        let unparsable = parse_flag::<usize>(&args, "--n").unwrap_err();
+        assert!(
+            unparsable.contains("--n") && unparsable.contains("4o96"),
+            "{unparsable}"
+        );
+        let trailing = parse_flag::<String>(&args, "--json").unwrap_err();
+        assert!(trailing.contains("--json"), "{trailing}");
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl DyadicIntervalTree {
         self.nodes.get(&node)
     }
 
-    /// `Next` over a node's `C` set (absent set ⇒ identity).
-    pub fn next_at(&self, node: DyadicNode, v: Val) -> Val {
-        self.nodes.get(&node).map_or(v, |s| s.next(v))
-    }
-
     /// Inserts the closed `C`-range `[lo, hi]` at leaf `b` and propagates
     /// newly covered pieces upward, maintaining invariant (7). Returns the
     /// number of `IntervalSet` insertions performed (diagnostics for the
@@ -238,10 +233,10 @@ mod tests {
             t.insert_leaf_closed(b, 5, 9);
         }
         let root = t.set((0, 0)).unwrap();
-        assert!(root.covers_range(5, 9));
+        assert_eq!(root.covered_within(5, 9), vec![(5, 9)]);
+        assert_eq!(root.next(5), 10);
+        assert_eq!(root.next(4), 4);
         assert!(t.check_invariant(0, 20));
-        assert_eq!(t.next_at((0, 0), 5), 10);
-        assert_eq!(t.next_at((0, 0), 4), 4);
     }
 
     #[test]

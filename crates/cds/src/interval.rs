@@ -182,22 +182,6 @@ impl IntervalSet {
         }
         out
     }
-
-    /// True if `[lo, hi]` is fully covered.
-    pub fn covers_range(&self, lo: Val, hi: Val) -> bool {
-        match self.map.range(..=lo).next_back() {
-            Some((_, &e)) => e >= hi,
-            None => false,
-        }
-    }
-
-    /// Total count of covered integers, saturating (diagnostics/tests).
-    pub fn covered_count(&self) -> u128 {
-        self.map
-            .iter()
-            .map(|(&lo, &hi)| (hi as i128 - lo as i128 + 1) as u128)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -299,17 +283,6 @@ mod tests {
         assert_eq!(s.covered_within(0, 30), vec![(5, 10), (20, 25)]);
         assert_eq!(s.covered_within(7, 22), vec![(7, 10), (20, 22)]);
         assert_eq!(s.covered_within(11, 19), vec![]);
-        assert!(s.covers_range(6, 9));
-        assert!(!s.covers_range(6, 11));
-        assert!(!s.covers_range(15, 16));
-    }
-
-    #[test]
-    fn covered_count_saturates_correctly() {
-        let mut s = IntervalSet::new();
-        s.insert_closed(0, 9);
-        s.insert_closed(100, 100);
-        assert_eq!(s.covered_count(), 11);
     }
 
     /// Randomized cross-check against a naive bit-set model on a small

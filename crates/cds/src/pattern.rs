@@ -99,11 +99,6 @@ impl Pattern {
             })
     }
 
-    /// `other ⪯ self`.
-    pub fn generalizes(&self, other: &Pattern) -> bool {
-        other.specializes(self)
-    }
-
     /// True when the two patterns are comparable in the specialization
     /// order.
     pub fn comparable(&self, other: &Pattern) -> bool {
@@ -177,7 +172,6 @@ mod tests {
         let v = Pattern(vec![Star, Star, Eq(10)]);
         assert!(u.specializes(&v));
         assert!(!v.specializes(&u));
-        assert!(v.generalizes(&u));
         assert!(u.comparable(&v));
     }
 

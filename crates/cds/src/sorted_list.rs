@@ -44,12 +44,6 @@ impl<T> SortedList<T> {
         self.map.range(v..).next().map(|(&k, t)| (k, t))
     }
 
-    /// Largest key `v' ≤ v`, with its payload (the mirror of `FindLub`,
-    /// needed by glb-style queries).
-    pub fn find_glb(&self, v: Val) -> Option<(Val, &T)> {
-        self.map.range(..=v).next_back().map(|(&k, t)| (k, t))
-    }
-
     /// `insert(v)`: stores `payload` under `v`, returning the previous
     /// payload if the key existed.
     pub fn insert(&mut self, v: Val, payload: T) -> Option<T> {
@@ -104,8 +98,6 @@ mod tests {
         assert_eq!(l.find_lub(3), Some((5, &"five")));
         assert_eq!(l.find_lub(5), Some((5, &"five")));
         assert_eq!(l.find_lub(10), None);
-        assert_eq!(l.find_glb(4), Some((2, &"two")));
-        assert_eq!(l.find_glb(1), None);
         assert_eq!(l.len(), 3);
     }
 

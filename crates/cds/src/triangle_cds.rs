@@ -230,16 +230,6 @@ impl TriangleCds {
                 .set(self.dyadic.leaf_of(b))
                 .is_some_and(|s| s.covers(c))
     }
-
-    /// Diagnostics: allocated dyadic nodes.
-    pub fn dyadic_node_count(&self) -> usize {
-        self.dyadic.node_count()
-    }
-
-    /// Diagnostics: cached `(a, node)` scan positions.
-    pub fn cache_size(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 #[cfg(test)]
@@ -393,17 +383,17 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_reflect_structure() {
+    fn inserts_allocate_nodes_and_probes_fill_the_cache() {
         let mut tri = TriangleCds::new(8);
         let mut st = stats();
-        assert_eq!(tri.dyadic_node_count(), 0);
-        assert_eq!(tri.cache_size(), 0);
+        assert_eq!(tri.dyadic.node_count(), 0);
+        assert!(tri.cache.is_empty());
         // One leaf insert allocates the leaf (no sibling ⇒ no propagation).
         tri.insert_constraint(&Constraint::new(Pattern(vec![Star, Eq(3)]), 0, 10), &mut st);
-        assert_eq!(tri.dyadic_node_count(), 1);
+        assert_eq!(tri.dyadic.node_count(), 1);
         // A probe populates per-(a, node) caches along one root-leaf path.
         let t = tri.get_probe_point(&mut st).unwrap();
-        assert!(tri.cache_size() >= 1, "descent caches scan positions");
+        assert!(!tri.cache.is_empty(), "descent caches scan positions");
         assert!(!tri.covers_tuple(&t));
     }
 

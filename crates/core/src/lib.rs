@@ -77,7 +77,7 @@ pub use naive::naive_join;
 pub use partition::{partition_certificate, PartitionCertificate, PartitionItem};
 pub use plan::{plan, Plan, PreparedExec};
 pub use query::{Atom, Query, QueryError};
-pub use set_intersection::{set_intersection, set_intersection_galloping};
+pub use set_intersection::set_intersection;
 pub use sharded::{
     shard_strategy, ShardReport, ShardStats, MAX_TASKS_PER_THREAD, MERGE_STRATEGY, OVERSPLIT,
 };

@@ -64,59 +64,6 @@ pub fn set_intersection(sets: &[&TrieRelation]) -> JoinResult {
     JoinResult { tuples, stats }
 }
 
-/// The Remark H.5 refinement: identical probe/constraint structure to
-/// [`set_intersection`], but each set is scanned with a monotone galloping
-/// cursor instead of a fresh root binary search per probe — "if we
-/// implement Minesweeper using the galloping/leapfrogging strategy shown
-/// in \[20\] and \[53\], then we can speed up the search … those ideas in
-/// fact work very well in practice!". Output and probe sequence are
-/// bit-identical to Algorithm 8; only the index-access cost changes (the
-/// per-set positions advance monotonically because probe points do).
-pub fn set_intersection_galloping(sets: &[&TrieRelation]) -> JoinResult {
-    use minesweeper_storage::sorted::gallop_ge;
-    use minesweeper_storage::{NEG_INF as VNEG, POS_INF as VPOS};
-    assert!(!sets.is_empty(), "need at least one set");
-    assert!(
-        sets.iter().all(|s| s.arity() == 1),
-        "set intersection expects unary relations"
-    );
-    let mut stats = ExecStats::new();
-    let mut cds = IntervalSet::new();
-    let mut tuples = Vec::new();
-    let arrays: Vec<&[minesweeper_storage::Val]> = sets.iter().map(|s| s.first_column()).collect();
-    let mut pos = vec![0usize; arrays.len()];
-    loop {
-        stats.cds_next_calls += 1;
-        let t = cds.next(PROBE_START);
-        if t == POS_INF {
-            break;
-        }
-        stats.probe_points += 1;
-        let mut all_exact = true;
-        for (i, a) in arrays.iter().enumerate() {
-            // Gallop from the remembered position: first element ≥ t.
-            stats.seeks += 1;
-            let p = gallop_ge(a, pos[i], t);
-            pos[i] = p.saturating_sub(1); // keep the low bracket reachable
-            let lo_val = if p == 0 { VNEG } else { a[p - 1] };
-            let hi_val = if p == a.len() { VPOS } else { a[p] };
-            let exact = hi_val == t;
-            if !exact {
-                all_exact = false;
-                stats.constraints_inserted += 1;
-                cds.insert_open(lo_val, hi_val);
-            }
-        }
-        if all_exact {
-            stats.outputs += 1;
-            tuples.push(vec![t]);
-            stats.constraints_inserted += 1;
-            cds.insert_open(t - 1, t + 1);
-        }
-    }
-    JoinResult { tuples, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,42 +137,6 @@ mod tests {
         assert_eq!(vals(&res), vec![5, 10, 15]);
         // One gap probe between consecutive outputs: probes = 2Z + O(1).
         assert!(res.stats.probe_points <= 8);
-    }
-
-    #[test]
-    fn galloping_variant_matches_binary_search_variant() {
-        let mut seed = 0x9e37u64;
-        let mut rng = move |m: u64| {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed % m
-        };
-        for _ in 0..25 {
-            let k = 2 + rng(3) as usize;
-            let sets: Vec<_> = (0..k)
-                .map(|i| unary(format!("S{i}"), (0..rng(40)).map(|_| rng(60) as Val)))
-                .collect();
-            let refs: Vec<&super::TrieRelation> = sets.iter().collect();
-            let a = set_intersection(&refs);
-            let b = set_intersection_galloping(&refs);
-            assert_eq!(a.tuples, b.tuples);
-            // Identical probe structure: same probe and constraint counts.
-            assert_eq!(a.stats.probe_points, b.stats.probe_points);
-            assert_eq!(a.stats.constraints_inserted, b.stats.constraints_inserted);
-        }
-    }
-
-    #[test]
-    fn galloping_positions_advance_monotonically() {
-        // On the interleaved family the galloping cursor touches each
-        // element O(1) times: seeks equal probes × sets, with short jumps.
-        let n: Val = 200;
-        let a = unary("A", (0..n).map(|i| 2 * i));
-        let b = unary("B", (0..n).map(|i| 2 * i + 1));
-        let res = set_intersection_galloping(&[&a, &b]);
-        assert!(res.tuples.is_empty());
-        assert_eq!(res.stats.seeks, 2 * res.stats.probe_points);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl RelationBuilder {
         self
     }
 
-    /// Number of tuples added so far (before deduplication).
-    pub fn staged(&self) -> usize {
-        self.tuples.len()
-    }
-
     /// Sorts, deduplicates, and freezes the relation.
     pub fn build(self) -> Result<TrieRelation, StorageError> {
         if let Some(e) = self.error {
@@ -150,10 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn extend_and_staged() {
+    fn extend_adds_every_row() {
         let rows: Vec<Vec<Val>> = vec![vec![1, 1], vec![2, 2]];
         let b = RelationBuilder::new("R", 2).extend(rows.iter().map(|r| r.as_slice()));
-        assert_eq!(b.staged(), 2);
         assert_eq!(b.build().unwrap().len(), 2);
     }
 }

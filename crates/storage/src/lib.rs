@@ -57,8 +57,7 @@ pub use error::StorageError;
 pub use gap_cursor::GapCursor;
 pub use merge::{MergeCursor, MergeIter, MergeNode, MergeView};
 pub use shard::{
-    equi_depth_shards, nested_shards, second_level_profile, shard_relation, GaoOrder, ShardBounds,
-    ShardSpec,
+    equi_depth_shards, nested_shards, second_level_profile, GaoOrder, ShardBounds, ShardSpec,
 };
 pub use stats::ExecStats;
 pub use trie::{Gap, NodeId, TrieRelation};

@@ -292,15 +292,6 @@ pub fn equi_depth_shards(values: &[Val], weights: &[usize], k: usize) -> Vec<Sha
     shards
 }
 
-/// [`equi_depth_shards`] over a primary relation: distinct first-column
-/// values weighted by their subtree tuple counts. Generic over
-/// [`TrieStorage`], so sharding profiles come off whichever physical
-/// layout the executor probes.
-pub fn shard_relation<S: TrieStorage>(rel: &S, k: usize) -> Vec<ShardBounds> {
-    let root = rel.root();
-    equi_depth_shards(rel.child_values(root), &rel.child_tuple_counts(root), k)
-}
-
 /// Splits one heavy duplicate run on the **second** attribute: `bounds`
 /// is a first-attribute interval containing exactly one primary value,
 /// and `child_values` / `child_weights` profile the second attribute
@@ -462,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_relation_weighs_by_tuple_count() {
+    fn relation_shards_weigh_by_tuple_count() {
         // First value 1 has 4 tuples, values 2 and 3 have 1 each: with two
         // shards the cut must isolate value 1.
         let rel = TrieRelation::from_tuples(
@@ -478,7 +469,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let shards = shard_relation(&rel, 2);
+        let root = rel.root();
+        let shards = equi_depth_shards(rel.child_values(root), &rel.child_tuple_counts(root), 2);
         check_cover(&shards);
         assert_eq!(shards.len(), 2);
         assert!(shards[0].contains(1) && !shards[0].contains(2));

@@ -64,24 +64,6 @@ pub fn gallop_gt(vals: &[Val], from: usize, a: Val) -> usize {
     gallop_ge(vals, from, a + 1)
 }
 
-/// Merges two sorted, deduplicated slices into their sorted intersection.
-pub fn intersect_sorted(a: &[Val], b: &[Val]) -> Vec<Val> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +114,5 @@ mod tests {
         let v = vec![1, 2];
         assert_eq!(gallop_ge(&v, 2, 0), 2);
         assert_eq!(gallop_ge(&v, 5, 0), 2);
-    }
-
-    #[test]
-    fn intersection_of_sorted_sets() {
-        assert_eq!(intersect_sorted(&[1, 2, 3], &[2, 3, 4]), vec![2, 3]);
-        assert_eq!(intersect_sorted(&[1, 5, 9], &[2, 6, 10]), Vec::<Val>::new());
-        assert_eq!(intersect_sorted(&[], &[1]), Vec::<Val>::new());
     }
 }

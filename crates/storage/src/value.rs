@@ -27,12 +27,6 @@ pub const MAX_DOMAIN_VALUE: Val = Val::MAX / 4;
 /// relation's own attribute order (which is consistent with the GAO).
 pub type Tuple = Vec<Val>;
 
-/// Returns `true` if `v` is one of the two infinity sentinels.
-#[inline]
-pub fn is_infinite(v: Val) -> bool {
-    v == NEG_INF || v == POS_INF
-}
-
 /// Formats a value, rendering the sentinels as `-inf` / `+inf`.
 pub fn fmt_val(v: Val) -> String {
     if v == NEG_INF {
@@ -64,13 +58,5 @@ mod tests {
         assert_eq!(fmt_val(POS_INF), "+inf");
         assert_eq!(fmt_val(42), "42");
         assert_eq!(fmt_val(-1), "-1");
-    }
-
-    #[test]
-    fn infinity_predicate() {
-        assert!(is_infinite(NEG_INF));
-        assert!(is_infinite(POS_INF));
-        assert!(!is_infinite(0));
-        assert!(!is_infinite(MAX_DOMAIN_VALUE));
     }
 }

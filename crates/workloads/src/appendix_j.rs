@@ -113,11 +113,6 @@ pub fn hidden_certificate_path_k(m: usize, k: usize, chunk: Val) -> Instance {
     Instance { db, query }
 }
 
-/// Backwards-compatible alias for the `k = 2` family.
-pub fn hidden_certificate_path(m: usize, chunk: Val) -> Instance {
-    hidden_certificate_instance(m, chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

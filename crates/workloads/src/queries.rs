@@ -23,13 +23,6 @@ pub struct Instance {
     pub query: Query,
 }
 
-impl Instance {
-    /// Total input size `N` (tuples across all relations).
-    pub fn input_size(&self) -> usize {
-        self.db.total_tuples()
-    }
-}
-
 fn edge_rel(db: &mut Database, name: &str, edges: &[(Val, Val)]) -> RelId {
     db.add(builder::binary(name, edges.iter().copied()))
         .unwrap()
@@ -220,7 +213,7 @@ mod tests {
         assert_eq!(inst.query.n_attrs, 4);
         assert_eq!(inst.query.num_atoms(), 3);
         assert!(is_beta_acyclic(&inst.query.hypergraph()));
-        assert!(inst.input_size() > 0);
+        assert!(inst.db.total_tuples() > 0);
     }
 
     #[test]
@@ -230,16 +223,16 @@ mod tests {
         let inst = layered_path_instance(layers, width);
         assert!(naive_join(&inst.db, &inst.query).unwrap().is_empty());
         // Edge count: (layers−1)·width².
-        assert_eq!(inst.input_size(), (layers - 1) * (width * width) as usize);
+        let edges = inst.db.total_tuples();
+        assert_eq!(edges, (layers - 1) * (width * width) as usize);
         let res = minesweeper_join(&inst.db, &inst.query, ProbeMode::Chain).unwrap();
         assert!(res.tuples.is_empty());
         // Probes stay near-linear in |E|, far below width^(layers−1)
         // (= 1296 maximal paths here).
         assert!(
-            (res.stats.probe_points as usize) < 2 * inst.input_size(),
-            "probes {} vs |E| {}",
-            res.stats.probe_points,
-            inst.input_size()
+            (res.stats.probe_points as usize) < 2 * edges,
+            "probes {} vs |E| {edges}",
+            res.stats.probe_points
         );
     }
 

@@ -1,9 +1,8 @@
 //! A small blocking client for the `msj serve` protocol.
 //!
-//! Shared by the `msj client` CLI mode, the end-to-end tests in
-//! `tests/server.rs`, and the `serve_load` generator — one
-//! implementation of the framing rules (strip one [`BODY_PREFIX`] per
-//! body line, stop at `OK`/`ERR`) instead of three.
+//! Shared by the `msj client` CLI mode and the end-to-end tests in
+//! `tests/server.rs` — one implementation of the framing rules (strip
+//! one [`BODY_PREFIX`] per body line, stop at `OK`/`ERR`) instead of two.
 //!
 //! [`BODY_PREFIX`]: super::protocol::BODY_PREFIX
 

@@ -11,8 +11,8 @@
 //!   execute, stream, and the disconnect-triggers-cancellation path;
 //! * [`admission`] — the global [`WorkerBudget`] semaphore bounding the
 //!   total pool workers in flight across all connections;
-//! * [`client`] — a small blocking client used by `msj client`, the
-//!   integration tests, and the `serve_load` generator.
+//! * [`client`] — a small blocking client used by `msj client` and the
+//!   integration tests.
 //!
 //! The service's contract, tested end to end in `tests/server.rs`:
 //!

@@ -20,7 +20,7 @@ fn z_much_bigger_than_k(n: Val) -> (Arc<Database>, Query) {
     (Arc::new(db), q)
 }
 
-/// The acceptance criterion for the streaming executor:
+/// The acceptance test for the streaming executor:
 /// `plan → stream → take(k)` must do strictly less probe work (fewer
 /// `probe_points` *and* fewer `find_gap_calls`) than a full `execute()`
 /// when `Z ≫ k`.

@@ -183,7 +183,7 @@ fn all_option_sets() -> Vec<ExecOptions> {
     sets
 }
 
-/// The acceptance criterion, exhaustively: cut the WAL at **every byte
+/// The acceptance test, exhaustively: cut the WAL at **every byte
 /// offset** and recover. Each cut must (a) replay exactly the complete
 /// newline-terminated records in the surviving prefix, (b) answer
 /// byte-identically to a never-crashed engine that applied that many

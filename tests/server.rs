@@ -222,9 +222,10 @@ fn oversized_thread_counts_run_as_the_budget() {
         assert_eq!(
             (
                 after.probe_points - before.probe_points,
-                after.find_gap_calls - before.find_gap_calls
+                after.find_gap_calls - before.find_gap_calls,
+                after.outputs - before.outputs
             ),
-            (want.probe_points, want.find_gap_calls),
+            (want.probe_points, want.find_gap_calls, want.outputs),
             "threads={threads} must run threads={budget}'s shard tasks"
         );
     }
@@ -295,8 +296,9 @@ fn disconnect_mid_stream_cancels_remaining_work() {
         stats.rows
     );
     assert!(
-        stats.outputs < full_rows,
-        "cancellation stopped the probe loop at {} of {full_rows} outputs",
+        stats.outputs < full_rows / 2,
+        "cancellation must stop well short of the {full_rows} outputs the \
+         abandoned request would have produced, got {}",
         stats.outputs
     );
 
@@ -631,6 +633,7 @@ fn deadline_mid_stream_cancels_server_side() {
         Reply::Err { code, .. } => assert_eq!(code, "DEADLINE"),
         other => panic!("expected DEADLINE, got {other:?}"),
     }
+    assert_eq!(server.stats().errors, 0, "nor is a timeout=0 expiry");
 
     // The connection survived both expiries.
     assert_eq!(
@@ -684,6 +687,34 @@ fn prepare_exec_skips_parsing_and_matches_one_shot_bytes() {
     );
     assert_eq!(stats.exec_hits, 3);
     assert_eq!(stats.prepared, 1);
+
+    // The same across connections: each further connection's PREPARE
+    // parses once, and none of their interleaved EXECs parses at all.
+    let mut others: Vec<Client> = (0..3)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+    for other in &mut others {
+        assert!(matches!(
+            other.request("PREPARE hot -- R(x, y), S(y, z)").unwrap(),
+            Reply::Ok { rows: 0, .. }
+        ));
+    }
+    for _ in 0..2 {
+        for other in &mut others {
+            match other.request("EXEC hot").unwrap() {
+                Reply::Ok { body, .. } => assert_eq!(body, one_shot.0),
+                other => panic!("EXEC failed: {other:?}"),
+            }
+        }
+    }
+    let across = server.stats();
+    assert_eq!(across.prepared - stats.prepared, 3);
+    assert_eq!(across.exec_hits - stats.exec_hits, 6);
+    assert_eq!(
+        across.query_parses - stats.query_parses,
+        3,
+        "one parse per PREPARE, zero per EXEC"
+    );
 
     // A per-execution override mirrors the equivalent one-shot option.
     let limited = match client.request("Q limit=2 R(x, y), S(y, z)").unwrap() {
@@ -838,7 +869,7 @@ fn slow_reader_receives_exact_bytes_under_batching() {
     let expected =
         render::body_string(&engine.prepare("E(x, y)").unwrap(), &ExecOptions::default()).unwrap();
 
-    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", 2).unwrap();
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", 4).unwrap();
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     stream.write_all(b"Q E(x, y)\n").unwrap();
 
@@ -877,7 +908,25 @@ fn slow_reader_receives_exact_bytes_under_batching() {
     // Flush accounting (default watermarks, byte watermark never trips
     // on these short rows): first line, then every 128th.
     let lines = expected.lines().count() as u64;
-    assert_eq!(server.stats().flushes, 1 + (lines - 1) / 128);
+    let serial_flushes = server.stats().flushes;
+    assert_eq!(serial_flushes, 1 + (lines - 1) / 128);
+
+    // The same arithmetic for a merged parallel prefix: `limit=k` under
+    // `threads=4` streams the header, exactly k rows and the truncation
+    // marker.
+    let mut client = Client::connect(server.addr()).unwrap();
+    let lines = match client
+        .request("Q threads=4 limit=500 E(x, y), E(y, z)")
+        .unwrap()
+    {
+        Reply::Ok { body, rows: 500 } => body.lines().count() as u64,
+        other => panic!("expected exactly 500 rows, got {other:?}"),
+    };
+    assert_eq!(lines, 502);
+    assert_eq!(
+        server.stats().flushes - serial_flushes,
+        1 + (lines - 1) / 128
+    );
     server.shutdown().unwrap();
 }
 
@@ -1045,7 +1094,7 @@ fn one_shot_exit_codes_distinguish_rejection_from_failure() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The durability acceptance criterion at process level: `msj serve
+/// The durability acceptance test at process level: `msj serve
 /// --data-dir`, writes over the wire, `kill -9`, restart from the same
 /// directory — the same query returns byte-identical output. Then a
 /// SIGTERM drains gracefully (exit 0, final checkpoint) and a third
