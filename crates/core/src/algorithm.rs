@@ -87,7 +87,9 @@ impl Default for MinesweeperPar {
     /// memory-bound; more buys little on typical hosts).
     fn default() -> Self {
         MinesweeperPar {
-            threads: scoped_pool::available_threads().clamp(2, 8),
+            threads: std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .clamp(2, 8),
         }
     }
 }

@@ -19,7 +19,8 @@
 //! The stream has two arms behind one type: a probe loop on the caller's
 //! thread (no spawn — also whenever at most one worker is asked for or the
 //! split yields a single shard) and the channel-fed parallel pipeline of
-//! [`mod@crate::sharded`]. Both yield the same sequence.
+//! [`mod@crate::sharded`], which concatenates its shards' outputs in spec
+//! order. Both yield the same sequence: spec order is global order.
 //!
 //! **Ordering guarantee:** a stream yields tuples in certification order —
 //! lexicographic in the *GAO*; the `execute` forms return them sorted
@@ -85,7 +86,7 @@ enum Arm<'a> {
         probe: ShardProbe<'a>,
         accounted: bool,
     },
-    /// Shard workers feeding the global-order merge.
+    /// Shard workers feeding per-shard channels, drained in spec order.
     Sharded(ShardedStream),
 }
 
@@ -127,7 +128,7 @@ impl ExecStream<'_> {
     pub fn finish(self) -> ShardReport {
         match self.0 {
             Arm::InThread { probe, accounted } => {
-                let shard = probe.into_shard_stats(false);
+                let shard = probe.into_shard_stats();
                 ShardReport {
                     stats: shard.stats.clone(),
                     shards: accounted.then(|| vec![shard]),

@@ -29,18 +29,15 @@ pub struct ExplainShards {
     /// Worker-thread count.
     pub threads: usize,
     /// Number of shard tasks the split produced against the bound
-    /// database (tasks can exceed workers — the steal queue balances).
+    /// database (tasks can exceed workers — a worker that finishes early
+    /// claims the next one).
     pub tasks: usize,
     /// Partitioning strategy variant: `"equi-depth"` (plain first-
     /// attribute split, one task per worker), `"nested"` (a heavy
     /// duplicate run was additionally split on the second GAO
-    /// attribute), or `"stolen"` (more tasks than workers, so idle
-    /// workers steal). See [`crate::shard_strategy`].
+    /// attribute), or `"oversplit"` (more tasks than workers). See
+    /// [`crate::shard_strategy`].
     pub strategy: String,
-    /// Reassembly strategy: how per-shard streams become one globally
-    /// ordered output ([`crate::MERGE_STRATEGY`] — the k-way heap merge
-    /// keyed by GAO-translated tuples).
-    pub merge: String,
     /// Human description of the shard pipeline.
     pub detail: String,
 }
@@ -191,8 +188,8 @@ impl ExplainPlan {
         }
         if let Some(s) = &self.shards {
             lines.push(format!(
-                "parallel: up to {} worker(s), {} shard task(s), strategy {}, merge {} — {}",
-                s.threads, s.tasks, s.strategy, s.merge, s.detail
+                "parallel: up to {} worker(s), {} shard task(s), strategy {} — {}",
+                s.threads, s.tasks, s.strategy, s.detail
             ));
         }
         lines.join("\n")
@@ -236,7 +233,6 @@ impl ExplainPlan {
                 so.num("threads", s.threads as f64);
                 so.num("tasks", s.tasks as f64);
                 so.str("strategy", &s.strategy);
-                so.str("merge", &s.merge);
                 so.str("detail", &s.detail);
                 o.raw("shards", &so.finish());
             }
@@ -395,8 +391,7 @@ mod tests {
         e.shards = Some(ExplainShards {
             threads: 4,
             tasks: 8,
-            strategy: "stolen".into(),
-            merge: "global-order-heap".into(),
+            strategy: "oversplit".into(),
             detail: "equi-depth shard tasks of the first GAO attribute".into(),
         });
         let text = e.render();
@@ -405,8 +400,8 @@ mod tests {
         assert!(text.contains("cache: hit (plan 7)"), "{text}");
         assert!(
             text.contains(
-                "parallel: up to 4 worker(s), 8 shard task(s), strategy stolen, \
-                 merge global-order-heap"
+                "parallel: up to 4 worker(s), 8 shard task(s), strategy oversplit \
+                 — equi-depth shard tasks"
             ),
             "{text}"
         );

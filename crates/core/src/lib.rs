@@ -25,8 +25,8 @@
 //!   [`ExecStream::finish`] returns the final (per-shard) accounting.
 //!   Asked for workers, the same stream is fed by equi-depth shards of the
 //!   first GAO attribute's domain (nested second-attribute splits for
-//!   heavy duplicate runs) on a work-stealing deque, merged back into the
-//!   identical sequence;
+//!   heavy duplicate runs), claimed in ascending order by the workers and
+//!   concatenated back into the identical sequence;
 //! * [`PreparedExec::execute`] — drain that stream, sorted in the original
 //!   attribute numbering; [`Plan::execute`] and [`execute()`] are the
 //!   bind-and-drain shorthands;
@@ -78,7 +78,5 @@ pub use partition::{partition_certificate, PartitionCertificate, PartitionItem};
 pub use plan::{plan, Plan, PreparedExec};
 pub use query::{Atom, Query, QueryError};
 pub use set_intersection::set_intersection;
-pub use sharded::{
-    shard_strategy, ShardReport, ShardStats, MAX_TASKS_PER_THREAD, MERGE_STRATEGY, OVERSPLIT,
-};
+pub use sharded::{shard_strategy, ShardReport, ShardStats, MAX_TASKS_PER_THREAD, OVERSPLIT};
 pub use triangle::triangle_join;

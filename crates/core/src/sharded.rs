@@ -1,5 +1,5 @@
-//! Sharded parallel execution: nested splits, work stealing, and a
-//! global-order merge.
+//! Sharded parallel execution: nested splits, an ascending claim cursor,
+//! and spec-order concatenation.
 //!
 //! The probe loop of Algorithm 2 is embarrassingly parallel in the first
 //! GAO attribute: a constraint discovered while probing inside one
@@ -12,45 +12,40 @@
 //!    largest-fanout relation whose index starts at GAO position 0),
 //!    weighted by tuples per distinct first value so skew still
 //!    balances, with an **oversplit** of [`OVERSPLIT`] tasks per worker
-//!    so the steal queue has depth. A heavy value — one duplicate run
-//!    holding at least twice the per-task depth — is isolated and then
-//!    **nested-split on the second GAO attribute** (single-value first
-//!    interval × equi-depth second intervals), so one giant duplicate
-//!    run becomes many parallel tasks instead of a serial fallback.
-//! 2. **Probe** — the specs become tasks on a work-stealing deque
-//!    ([`scoped_pool::StealQueue`]): each worker pops its own share
-//!    front-first and steals from the back of busy peers, so shards
-//!    whose certificates turn out unbalanced no longer gate wall-clock
-//!    on the slowest worker. Each task runs an independent probe loop
-//!    with its own `ConstraintTree`, its own
-//!    [`minesweeper_storage::GapCursor`]s, and its own [`ExecStats`];
-//!    the confinement is a handful of pre-seeded constraints — depth-0
-//!    intervals for the first attribute, all-star depth-1 intervals for a
-//!    nested shard's second attribute.
-//! 3. **Merge** — every worker translates its certified tuples to the
-//!    caller's attribute numbering *inside the shard task*, so the
-//!    per-task channels carry directly comparable tuples, and the
-//!    consumer runs a **global-order k-way merge**: a binary heap keyed by
-//!    [`minesweeper_storage::GaoOrder`] — the GAO-lexicographic
-//!    comparison of translated tuples — with one *frontier watermark*
-//!    rule deciding when the heap's minimum is safe to emit (a buffered
-//!    tuple whose [`minesweeper_storage::GaoOrder::key2`] lies strictly
-//!    below the first still-silent shard's
-//!    [`ShardSpec::lower_corner`] cannot be out-ordered by anything that
-//!    shard will produce, because spec slices are disjoint in the
-//!    first-two-GAO-coordinate plane). The merged sequence equals the
-//!    in-thread stream's **global attribute order** exactly — the output
-//!    contract of the paper's §2 — so a `limit` yields the in-thread
-//!    stream's exact prefix under any GAO.
+//!    so a worker that finishes early has more to claim. A heavy value —
+//!    one duplicate run holding at least twice the per-task depth — is
+//!    isolated and then **nested-split on the second GAO attribute**
+//!    (single-value first interval × equi-depth second intervals), so
+//!    one giant duplicate run becomes many parallel tasks instead of a
+//!    serial fallback.
+//! 2. **Probe** — workers claim tasks through one ascending cursor: each
+//!    idle worker takes the lowest unclaimed spec, so the shard the
+//!    consumer needs next always starts first, and shards whose
+//!    certificates turn out unbalanced do not pin the others to one
+//!    worker. Each task runs an independent probe loop with its own
+//!    `ConstraintTree`, its own [`minesweeper_storage::GapCursor`]s, and
+//!    its own [`ExecStats`]; the confinement is a handful of pre-seeded
+//!    constraints — depth-0 intervals for the first attribute, all-star
+//!    depth-1 intervals for a nested shard's second attribute.
+//! 3. **Concatenate** — every worker translates its certified tuples to
+//!    the caller's attribute numbering *inside the shard task*, and the
+//!    consumer reads the per-task channels one after another in spec
+//!    order. Spec order is global order: [`PreparedExec::shard_specs`]
+//!    emits specs in GAO order, their slices are disjoint in the plane of
+//!    the first two GAO coordinates, and each shard's probe loop
+//!    certifies in GAO order. So the concatenation equals the in-thread
+//!    stream's **global attribute order** exactly — the output contract
+//!    of the paper's §2 — with no comparison key, and a `limit` yields
+//!    the in-thread stream's exact prefix under any GAO.
 //!
 //! There is one worker pipeline. How a worker hands tuples over is an
 //! internal decision: a caller that drains an unlimited run to completion
 //! ([`crate::PreparedExec::execute`]) gets one batch per shard — every
 //! worker materializes its shard concurrently and none ever stalls on the
 //! in-order consumer; every other run sends per-tuple batches through
-//! bounded channels, giving the merge `O(tasks × channel capacity)` memory,
-//! and the cancellation flag fires as soon as the consumer stops pulling,
-//! so in-flight and queued shards stop promptly.
+//! bounded channels, giving the pipeline `O(tasks × channel capacity)`
+//! memory, and the cancellation flag fires as soon as the consumer stops
+//! pulling, so in-flight and queued shards stop promptly.
 //!
 //! Statistics: per-shard counters are kept in [`ShardStats`] and their
 //! sum is the aggregate [`ExecStats`] — in particular, on an uncancelled
@@ -60,25 +55,24 @@
 //! parallel-speedup trade, bounded by `O(tasks)` extra probes per
 //! relation.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
 use minesweeper_storage::{
-    equi_depth_shards, nested_shards, second_level_profile, Database, ExecStats, GaoOrder,
-    ShardSpec, Tuple, Val,
+    equi_depth_shards, nested_shards, second_level_profile, Database, ExecStats, ShardSpec, Tuple,
+    Val, NEG_INF,
 };
-use scoped_pool::StealQueue;
 
 use crate::execute::Run;
 use crate::plan::PreparedExec;
 use crate::query::Query;
 use crate::stream::{ProbeCtx, ShardProbe};
 
-/// Shard tasks created per worker thread (beyond one worker): the deque
-/// depth that makes work stealing effective. More tasks smooth unbalanced
-/// certificates at the cost of `O(1)` warm-up probes per extra task.
+/// Shard tasks created per worker thread (beyond one worker): the spare
+/// tasks a worker that finishes early claims. More tasks smooth
+/// unbalanced certificates at the cost of `O(1)` warm-up probes per extra
+/// task.
 pub const OVERSPLIT: usize = 2;
 
 /// Hard ceiling on shard tasks per requested worker: the equi-depth pass
@@ -89,14 +83,9 @@ pub const MAX_TASKS_PER_THREAD: usize = 2 * OVERSPLIT;
 
 /// Bounded per-shard channel capacity: the backpressure that keeps an
 /// incremental parallel stream's memory at `O(tasks × CHANNEL_CAP)`
-/// instead of `O(Z)` — a shard task can probe ahead of the global-order
-/// merge by at most this many tuples before its sender parks.
+/// instead of `O(Z)` — a shard task can probe ahead of the in-order
+/// consumer by at most this many tuples before its sender parks.
 const CHANNEL_CAP: usize = 64;
-
-/// The reassembly strategy label explains report for every parallel run:
-/// a k-way binary heap over per-shard streams, keyed by the
-/// GAO-lexicographic comparison of worker-translated tuples.
-pub const MERGE_STRATEGY: &str = "global-order-heap";
 
 /// One shard task's slice of the output space and the execution counters
 /// its probe loop accumulated.
@@ -109,13 +98,10 @@ pub struct ShardStats {
     /// Counters of this shard's probe loop only (excluding the one-tuple
     /// truncation probe a capped shard runs).
     pub stats: ExecStats,
-    /// True when a worker other than the task's round-robin owner ran it
-    /// (it was stolen from the owner's deque).
-    pub stolen: bool,
     /// True when the probe loop ran to exhaustion: the shard's slice of
     /// the output space is fully certified. False for shards stopped at a
-    /// cap, cancelled mid-flight, or abandoned in the queue (those report
-    /// zero counters).
+    /// cap, cancelled mid-flight, or never claimed (those report zero
+    /// counters).
     pub completed: bool,
 }
 
@@ -124,7 +110,6 @@ impl ShardStats {
         ShardStats {
             spec,
             stats: ExecStats::new(),
-            stolen: false,
             completed: false,
         }
     }
@@ -199,8 +184,23 @@ impl PreparedExec {
             }
         }
         debug_assert!(specs.len() <= threads.saturating_mul(MAX_TASKS_PER_THREAD));
+        debug_assert!(
+            specs.windows(2).all(|w| precedes(w[0], w[1])),
+            "specs must be strictly ascending: {specs:?}"
+        );
         specs
     }
+}
+
+/// True when every point of `a`'s slice comes strictly before every point
+/// of `b`'s in the plane of the first two GAO coordinates — the order the
+/// consumer concatenates shard outputs in.
+fn precedes(a: ShardSpec, b: ShardSpec) -> bool {
+    if a.bounds != b.bounds {
+        return a.bounds.hi < b.bounds.lo;
+    }
+    // Slices of one heavy run: ordered by their second-attribute intervals.
+    matches!((a.second, b.second), (Some(x), Some(y)) if x.hi < y.lo)
 }
 
 /// The single primary-column value covered by `b`, with its weight, if
@@ -249,14 +249,11 @@ fn second_attr_profile(query: &Query, db: &Database, v: Val) -> (Vec<Val>, Vec<u
     }
 }
 
-/// One shard task on the steal queue: spec index, output-space slice,
-/// and the channel its output batches flow through.
-type ShardTask = (usize, ShardSpec, SyncSender<Vec<Tuple>>);
-
 /// Everything the workers of one parallel run co-own with its
 /// [`ShardedStream`]: the bound execution and the caller's database, the
-/// pre-seeded equality constraints, the per-shard tuple cap, the task
-/// queue, and the per-task accounting slots.
+/// pre-seeded equality constraints, the per-shard tuple cap, the tasks
+/// with their claim cursor and cancel flag, and the per-task accounting
+/// slots.
 struct Pipeline {
     exec: PreparedExec,
     db: Arc<Database>,
@@ -269,18 +266,53 @@ struct Pipeline {
     /// full concurrency for unlimited runs drained to completion, no
     /// worker ever stalls on the in-order consumer.
     batch_per_shard: bool,
-    queue: StealQueue<ShardTask>,
+    /// The shard tasks, in spec (= global output) order.
+    specs: Vec<ShardSpec>,
+    /// Task `i`'s channel, taken by the worker that claims it, so the
+    /// channel closes exactly when that worker is done with it.
+    senders: Mutex<Vec<Option<SyncSender<Vec<Tuple>>>>>,
+    /// The ascending claim cursor: the index of the next unclaimed task.
+    next: AtomicUsize,
+    /// Set once the consumer is gone: no task is claimed after it, and
+    /// running probe loops poll it between probe points.
+    cancel: Arc<AtomicBool>,
     slots: Mutex<Vec<Option<ShardStats>>>,
 }
 
-/// The worker loop: pop tasks — own deque front first, then steals — run
-/// each confined probe loop up to the cap plus one tuple of truncation
-/// evidence, and record its accounting.
-fn drive_worker(w: usize, p: &Pipeline) {
+impl Pipeline {
+    /// Claims the lowest unclaimed task: its index and its channel.
+    /// `None` once every task is claimed or the run was cancelled.
+    ///
+    /// Claims are strictly ascending, which keeps the in-order consumer
+    /// deadlock-free (docs/PARALLELISM.md, invariant 4): shard `i` is
+    /// always claimed before any later shard a worker could be parked on,
+    /// so it never waits behind one.
+    fn claim(&self) -> Option<(usize, SyncSender<Vec<Tuple>>)> {
+        if self.cancel.load(Ordering::Acquire) {
+            return None;
+        }
+        // Relaxed suffices: the read-modify-write alone makes every index
+        // unique, and the task itself (its sender) changes hands under the
+        // `senders` mutex.
+        let idx = self.next.fetch_add(1, Ordering::Relaxed);
+        let mut senders = self.senders.lock().expect("claims never panic");
+        Some((idx, senders.get_mut(idx)?.take()?))
+    }
+
+    /// Abandons the unclaimed tasks and stops the running probe loops.
+    fn cancel(&self) {
+        self.cancel.store(true, Ordering::Release);
+    }
+}
+
+/// The worker loop: claim tasks in ascending order, run each confined
+/// probe loop up to the cap plus one tuple of truncation evidence, and
+/// record its accounting.
+fn drive_worker(p: &Pipeline) {
     let ctx = p.exec.ctx(&p.db);
-    while let Some(((idx, spec, tx), stolen)) = p.queue.take(w) {
-        let cancel = Some(p.queue.cancel_handle());
-        let mut probe = ShardProbe::open(&ctx, spec, &p.eq_seeds, p.cap, cancel);
+    while let Some((idx, tx)) = p.claim() {
+        let cancel = Some(Arc::clone(&p.cancel));
+        let mut probe = ShardProbe::open(&ctx, p.specs[idx], &p.eq_seeds, p.cap, cancel);
         if p.batch_per_shard {
             // Unlimited, so there is no cap to probe past.
             let _ = tx.send(std::iter::from_fn(|| probe.next()).collect());
@@ -295,205 +327,10 @@ fn drive_worker(w: usize, p: &Pipeline) {
             if !connected {
                 // The consumer tore the pipeline down: stop queued tasks
                 // too.
-                p.queue.cancel();
+                p.cancel();
             }
         }
-        p.slots.lock().unwrap()[idx] = Some(probe.into_shard_stats(stolen));
-    }
-}
-
-/// One buffered head inside the merge heap: a worker-translated tuple
-/// plus the shard it came from. Ordered by the GAO-lexicographic
-/// comparison of the tuples (shard index only as a deterministic
-/// tiebreak — disjoint spec slices make genuine ties impossible).
-struct HeapEntry {
-    order: Arc<GaoOrder>,
-    shard: usize,
-    tuple: Tuple,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.order
-            .cmp_tuples(&self.tuple, &other.tuple)
-            .then(self.shard.cmp(&other.shard))
-    }
-}
-
-/// One shard's end of the merge: its receiver (`None` once the channel
-/// closed), the remainder of the batch most recently received, and
-/// whether its next tuple currently sits in the heap.
-struct ShardSource {
-    rx: Option<Receiver<Vec<Tuple>>>,
-    buf: std::vec::IntoIter<Tuple>,
-    in_heap: bool,
-}
-
-/// The global-order k-way merge at the consumer end of every parallel
-/// pipeline (see the module docs, step 3).
-///
-/// Invariants:
-///
-/// * each source's stream is sorted under `order` (a shard's probe loop
-///   certifies in GAO order and the worker's translation preserves it);
-/// * spec slices are disjoint and ordered in the first-two-GAO-coordinate
-///   plane, so a buffered tuple whose [`GaoOrder::key2`] is strictly
-///   below the **frontier watermark** — the
-///   [`ShardSpec::lower_corner`] of the first shard that is still open
-///   but has nothing buffered — precedes everything that shard (and
-///   every later one) can emit.
-///
-/// Each [`GlobalOrderMerge::next`] therefore: lifts every available head
-/// into the heap (non-blocking, which also drains channels early and
-/// releases sender backpressure), emits the heap minimum when the
-/// watermark rule allows, and otherwise blocks on the frontier shard's
-/// channel — the only stream that can still own the global minimum.
-/// Memory stays at one in-flight batch per shard plus the bounded
-/// channels: `O(tasks × channel capacity)` on per-tuple pipelines.
-struct GlobalOrderMerge {
-    sources: Vec<ShardSource>,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    order: Arc<GaoOrder>,
-    /// Per-shard [`ShardSpec::lower_corner`] watermarks, in spec order.
-    corners: Vec<(Val, Val)>,
-    /// Number of sources whose channel is still open. Once it hits zero
-    /// no new data can arrive, every remaining tuple is buffered (the
-    /// popped-source refill keeps each non-empty source's head in the
-    /// heap), and `next` collapses to a plain heap pop — the steady
-    /// state of the one-batch-per-shard materializing pipeline, whose
-    /// senders close right after their single send.
-    open: usize,
-}
-
-impl GlobalOrderMerge {
-    fn new(rxs: Vec<Receiver<Vec<Tuple>>>, specs: &[ShardSpec], order: GaoOrder) -> Self {
-        let open = rxs.len();
-        GlobalOrderMerge {
-            sources: rxs
-                .into_iter()
-                .map(|rx| ShardSource {
-                    rx: Some(rx),
-                    buf: Vec::new().into_iter(),
-                    in_heap: false,
-                })
-                .collect(),
-            heap: BinaryHeap::new(),
-            order: Arc::new(order),
-            corners: specs.iter().map(ShardSpec::lower_corner).collect(),
-            open,
-        }
-    }
-
-    /// Lifts source `s`'s next tuple into the heap if one is available
-    /// without blocking (buffered batch first, then `try_recv`, which
-    /// also notices a closed channel).
-    fn refill(&mut self, s: usize) {
-        let src = &mut self.sources[s];
-        if src.in_heap {
-            return;
-        }
-        loop {
-            if let Some(t) = src.buf.next() {
-                src.in_heap = true;
-                self.heap.push(Reverse(HeapEntry {
-                    order: Arc::clone(&self.order),
-                    shard: s,
-                    tuple: t,
-                }));
-                return;
-            }
-            match &src.rx {
-                None => return,
-                Some(rx) => match rx.try_recv() {
-                    Ok(batch) => src.buf = batch.into_iter(),
-                    Err(TryRecvError::Empty) => return,
-                    Err(TryRecvError::Disconnected) => {
-                        src.rx = None;
-                        self.open -= 1;
-                        return;
-                    }
-                },
-            }
-        }
-    }
-
-    /// Pops the heap minimum and immediately lifts the popped source's
-    /// next buffered tuple back in, so every non-empty source always has
-    /// its head in the heap when `next` returns.
-    fn pop_and_refill(&mut self) -> Option<Tuple> {
-        let Reverse(e) = self.heap.pop()?;
-        self.sources[e.shard].in_heap = false;
-        self.refill(e.shard);
-        Some(e.tuple)
-    }
-
-    /// The next tuple of the globally merged (GAO-ordered) sequence, or
-    /// `None` once every shard stream is closed and drained.
-    fn next(&mut self) -> Option<Tuple> {
-        loop {
-            if self.open == 0 {
-                // Every channel closed: the heap minimum is the global
-                // minimum, no frontier to guard, no channels to probe.
-                return self.pop_and_refill();
-            }
-            // Lift every available head (which also drains channels
-            // early, releasing sender backpressure); the first shard
-            // that stays both open and silent is the frontier the
-            // watermark guards.
-            let mut frontier = None;
-            for s in 0..self.sources.len() {
-                self.refill(s);
-                let src = &self.sources[s];
-                if frontier.is_none() && !src.in_heap && src.rx.is_some() {
-                    frontier = Some(s);
-                }
-            }
-            if let Some(Reverse(top)) = self.heap.peek() {
-                let emittable = match frontier {
-                    None => true,
-                    Some(f) => self.order.key2(&top.tuple) < self.corners[f],
-                };
-                if emittable {
-                    return self.pop_and_refill();
-                }
-            }
-            // Nothing emittable: only the frontier can own the global
-            // minimum now, so block for its next batch (or its close).
-            let f = frontier?;
-            let rx = self.sources[f].rx.as_ref().expect("frontier is open");
-            match rx.recv() {
-                Ok(batch) => self.sources[f].buf = batch.into_iter(),
-                Err(_) => {
-                    self.sources[f].rx = None;
-                    self.open -= 1;
-                }
-            }
-        }
-    }
-
-    /// Drops every receiver (erroring all parked senders) and clears the
-    /// buffered heads — the teardown half of a cancelled pipeline.
-    fn close(&mut self) {
-        for src in &mut self.sources {
-            src.rx = None;
-            src.buf = Vec::new().into_iter();
-        }
-        self.heap.clear();
-        self.open = 0;
+        p.slots.lock().unwrap()[idx] = Some(probe.into_shard_stats());
     }
 }
 
@@ -503,43 +340,44 @@ impl GlobalOrderMerge {
 /// Shard tasks run on detached background workers (co-owning the
 /// database through an [`Arc`]), each sending its certified tuples —
 /// already translated to the caller's attribute numbering — through a
-/// bounded channel, and the iterator runs the global-order k-way heap
-/// merge, so tuples arrive in exactly the in-thread stream's global
-/// attribute order (re-indexed GAO or not) while later shards probe ahead
-/// no further than their channel capacity allows.
+/// bounded channel. The iterator drains those channels in spec order,
+/// which is the in-thread stream's global attribute order (re-indexed GAO
+/// or not; see the module docs), while later shards probe ahead no
+/// further than their channel capacity allows.
 ///
-/// Cancellation: dropping the stream cancels the task queue and closes
-/// every channel, so queued shards never start and in-flight shards stop
-/// at their next probe point (a cooperative flag polled inside the probe
-/// loop — a shard whose remaining work would emit nothing still stops
-/// promptly). A consumer that takes `k` tuples and drops the stream pays
-/// nowhere near the full probe work (the contract `msj --threads
+/// Cancellation: dropping the stream cancels the claim cursor and closes
+/// every channel, so unclaimed shards never start and in-flight shards
+/// stop at their next probe point (a cooperative flag polled inside the
+/// probe loop — a shard whose remaining work would emit nothing still
+/// stops promptly). A consumer that takes `k` tuples and drops the stream
+/// pays nowhere near the full probe work (the contract `msj --threads
 /// --limit` relies on). [`ShardedStream::finish`] also joins the workers
 /// and reads the final, stable counters.
 ///
 /// A `limit` is enforced by the stream itself: the iterator yields at
-/// most `limit` tuples — the exact global-order prefix the heap merge
-/// emits — while each shard task is also capped at `limit` certified
-/// tuples plus one truncation-evidence tuple whose probe work is excluded
-/// from the counters. After the limit is exhausted,
-/// [`ShardedStream::truncated`] pulls exactly one tuple further to report
-/// whether the result was cut.
+/// most `limit` tuples — the exact global-order prefix — while each shard
+/// task is also capped at `limit` certified tuples plus one
+/// truncation-evidence tuple whose probe work is excluded from the
+/// counters. After the limit is exhausted, [`ShardedStream::truncated`]
+/// pulls exactly one tuple further to report whether the result was cut.
 pub(crate) struct ShardedStream {
-    /// The global-order heap merge over the per-shard channels.
-    merge: GlobalOrderMerge,
+    /// Per-shard receivers in spec order.
+    rxs: Vec<Receiver<Vec<Tuple>>>,
+    /// The shard being drained; every shard before it is closed and empty.
+    current: usize,
+    /// The rest of the batch last received from shard `current`.
+    buf: std::vec::IntoIter<Tuple>,
     /// Tuples the iterator may still yield (the global `limit`).
     remaining: usize,
-    specs: Vec<ShardSpec>,
     pipeline: Arc<Pipeline>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ShardedStream {
-    /// Builds the one worker pipeline: `specs` become tasks on the steal
-    /// queue of `min(threads, tasks)` detached workers, probing under
-    /// `eq_seeds` (execution numbering) and `run`'s limit. Only an
-    /// unlimited run its caller promised to drain has its workers send
-    /// one batch per shard.
+    /// Builds the one worker pipeline: `min(threads, tasks)` detached
+    /// workers claim `specs` in order, probing under `eq_seeds` (execution
+    /// numbering) and `run`'s limit. Only an unlimited run its caller
+    /// promised to drain has its workers send one batch per shard.
     pub(crate) fn spawn(
         exec: &PreparedExec,
         db: &Arc<Database>,
@@ -548,13 +386,13 @@ impl ShardedStream {
         run: &Run<'_>,
         eq_seeds: Vec<(usize, Val)>,
     ) -> Self {
-        let mut rxs: Vec<Receiver<Vec<Tuple>>> = Vec::with_capacity(specs.len());
-        let mut tasks: Vec<ShardTask> = Vec::with_capacity(specs.len());
-        for (idx, &spec) in specs.iter().enumerate() {
-            let (tx, rx) = sync_channel::<Vec<Tuple>>(CHANNEL_CAP);
-            tasks.push((idx, spec, tx));
-            rxs.push(rx);
-        }
+        let (senders, rxs): (Vec<_>, Vec<_>) = specs
+            .iter()
+            .map(|_| {
+                let (tx, rx) = sync_channel::<Vec<Tuple>>(CHANNEL_CAP);
+                (Some(tx), rx)
+            })
+            .unzip();
         let workers = threads.min(specs.len());
         let pipeline = Arc::new(Pipeline {
             exec: exec.clone(),
@@ -562,22 +400,50 @@ impl ShardedStream {
             eq_seeds,
             cap: run.limit.unwrap_or(usize::MAX),
             batch_per_shard: run.drain && run.limit.is_none(),
-            queue: StealQueue::new(workers, tasks),
             slots: Mutex::new(vec![None; specs.len()]),
+            specs,
+            senders: Mutex::new(senders),
+            next: AtomicUsize::new(0),
+            cancel: Arc::new(AtomicBool::new(false)),
         });
         let handles = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 let pipeline = Arc::clone(&pipeline);
-                std::thread::spawn(move || drive_worker(w, &pipeline))
+                std::thread::spawn(move || drive_worker(&pipeline))
             })
             .collect();
-        let order = GaoOrder::new(exec.gao().order.clone());
         ShardedStream {
-            merge: GlobalOrderMerge::new(rxs, &specs, order),
+            rxs,
+            current: 0,
+            buf: Vec::new().into_iter(),
             remaining: pipeline.cap,
-            specs,
             pipeline,
             handles,
+        }
+    }
+
+    /// The next tuple in global order: shard `current`'s next one, moving
+    /// on to the following shard once `current`'s channel closes. `None`
+    /// after the last shard (or once [`ShardedStream::finish`] closed the
+    /// channels).
+    fn pull(&mut self) -> Option<Tuple> {
+        loop {
+            if let Some(t) = self.buf.next() {
+                debug_assert!(
+                    {
+                        let order = &self.pipeline.exec.gao().order;
+                        let coord = |i: usize| order.get(i).map_or(NEG_INF, |&c| t[c]);
+                        self.pipeline.specs[self.current].contains(coord(0), coord(1))
+                    },
+                    "shard {} emitted {t:?} outside its spec",
+                    self.current
+                );
+                return Some(t);
+            }
+            match self.rxs.get(self.current)?.recv() {
+                Ok(batch) => self.buf = batch.into_iter(),
+                Err(_) => self.current += 1,
+            }
         }
     }
 
@@ -599,13 +465,14 @@ impl ShardedStream {
     /// and nothing mutates afterwards — what the cancellation tests
     /// assert work bounds against.
     pub(crate) fn finish(mut self) -> ShardReport {
-        self.pipeline.queue.cancel();
-        self.merge.close(); // close every channel: unblock parked senders
+        self.pipeline.cancel();
+        self.rxs.clear(); // close every channel: unblock parked senders
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
         let mut recorded = self.pipeline.slots.lock().unwrap();
         let shards: Vec<ShardStats> = self
+            .pipeline
             .specs
             .iter()
             .zip(recorded.iter_mut())
@@ -628,7 +495,7 @@ impl ShardedStream {
     /// further (shard workers emit one tuple of truncation evidence
     /// beyond their cap for exactly this call).
     pub(crate) fn truncated(&mut self) -> bool {
-        self.merge.next().is_some()
+        self.pull().is_some()
     }
 }
 
@@ -639,9 +506,8 @@ impl Iterator for ShardedStream {
         if self.remaining == 0 {
             return None;
         }
-        // Workers translated already, so the merged tuple is returned
-        // as-is.
-        let t = self.merge.next()?;
+        // Workers translated already, so the tuple is returned as-is.
+        let t = self.pull()?;
         self.remaining -= 1;
         Some(t)
     }
@@ -649,23 +515,24 @@ impl Iterator for ShardedStream {
 
 impl Drop for ShardedStream {
     fn drop(&mut self) {
-        // Idempotent teardown (also runs after `finish`): abandon queued
-        // tasks; the merge's receivers drop with it, erroring every
-        // in-flight send. Workers are detached but co-own all their
+        // Idempotent teardown (also runs after `finish`): abandon
+        // unclaimed tasks; the receivers drop with the stream, erroring
+        // every in-flight send. Workers are detached but co-own all their
         // data, so not joining is safe.
-        self.pipeline.queue.cancel();
+        self.pipeline.cancel();
     }
 }
 
 /// The `strategy` value an explain reports for a shard split: `"nested"`
-/// when any task is a second-attribute slice of a heavy run, `"stolen"`
-/// when there are more tasks than workers (idle workers will steal), and
-/// `"equi-depth"` for a plain one-task-per-worker split.
+/// when any task is a second-attribute slice of a heavy run,
+/// `"oversplit"` when there are more tasks than workers (a worker that
+/// finishes early claims another), and `"equi-depth"` for a plain
+/// one-task-per-worker split.
 pub fn shard_strategy(specs: &[ShardSpec], threads: usize) -> &'static str {
     if specs.iter().any(|s| s.is_nested()) {
         "nested"
     } else if specs.len() > threads {
-        "stolen"
+        "oversplit"
     } else {
         "equi-depth"
     }
@@ -975,7 +842,7 @@ mod tests {
 
     #[test]
     fn limited_execution_on_a_reindexed_plan_is_the_serial_sorted_prefix() {
-        // The global-order merge makes the limited parallel result exact
+        // The in-order drain makes the limited parallel result exact
         // under a re-indexed GAO: the same tuples the serial stream's
         // first k are, sorted in the original numbering — not merely some
         // deterministic k-subset.
@@ -1006,7 +873,7 @@ mod tests {
     fn sharded_stream_limit_is_the_exact_serial_stream_prefix_reindexed() {
         // Byte-identity of the *sequence* (content and order) between the
         // parallel stream under a limit and the serial stream's take(k),
-        // on a re-indexed GAO — the tentpole contract of the merge.
+        // on a re-indexed GAO — the contract of the in-order drain.
         let (db, q) = path_db(60);
         let p = plan(&db, &q).unwrap();
         assert!(p.is_reindexed());
@@ -1022,7 +889,7 @@ mod tests {
 
     #[test]
     fn merge_handles_nested_shards_in_global_order() {
-        // A giant duplicate run forces nested specs; the stream's merge
+        // A giant duplicate run forces nested specs; the stream's drain
         // must still reproduce the serial sequence across the
         // second-attribute slices.
         let mut db = Database::new();
@@ -1128,7 +995,7 @@ mod tests {
         assert_eq!(shards(&sharded(&p, &db, 0, None)).len(), 1, "0 workers = 1");
         let specs = p.prepare_exec(&db).unwrap().shard_specs(&db, 4);
         assert!(!specs.is_empty() && specs.len() <= 4 * MAX_TASKS_PER_THREAD);
-        assert_eq!(shard_strategy(&specs, 4), "stolen");
+        assert_eq!(shard_strategy(&specs, 4), "oversplit");
         assert_eq!(shard_strategy(&specs[..1], 4), "equi-depth");
     }
 }

@@ -333,11 +333,10 @@ impl<'a> ShardProbe<'a> {
     /// when the loop ran to exhaustion: a shard stopped at its cap with
     /// evidence left, cancelled mid-flight or abandoned by its consumer is
     /// not.
-    pub(crate) fn into_shard_stats(self, stolen: bool) -> ShardStats {
+    pub(crate) fn into_shard_stats(self) -> ShardStats {
         ShardStats {
             stats: self.stats(),
             spec: self.spec,
-            stolen,
             completed: self.stream.done,
         }
     }
@@ -534,7 +533,7 @@ mod tests {
         assert_eq!(stream.next(), None);
         assert_eq!(stream.next(), None, "fused after exhaustion");
         assert_eq!(stream.stats().outputs, 2);
-        assert!(stream.into_shard_stats(false).completed);
+        assert!(stream.into_shard_stats().completed);
     }
 
     #[test]
@@ -555,7 +554,7 @@ mod tests {
         // The evidence tuple exists, and its probe work stays unreported.
         assert!(stream.evidence().is_some());
         assert_eq!(stream.stats(), early);
-        assert!(!stream.into_shard_stats(false).completed);
+        assert!(!stream.into_shard_stats().completed);
         let mut full = whole(&db, &q, usize::MAX);
         let all: Vec<Tuple> = std::iter::from_fn(|| full.next()).collect();
         assert_eq!(all.len(), n as usize);

@@ -56,9 +56,7 @@ pub use dict::{ColumnType, Dictionary, Value};
 pub use error::StorageError;
 pub use gap_cursor::GapCursor;
 pub use merge::{MergeCursor, MergeIter, MergeNode, MergeView};
-pub use shard::{
-    equi_depth_shards, nested_shards, second_level_profile, GaoOrder, ShardBounds, ShardSpec,
-};
+pub use shard::{equi_depth_shards, nested_shards, second_level_profile, ShardBounds, ShardSpec};
 pub use stats::ExecStats;
 pub use trie::{Gap, NodeId, TrieRelation};
 pub use value::{Tuple, Val, NEG_INF, POS_INF};

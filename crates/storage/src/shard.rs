@@ -21,12 +21,16 @@
 //! tasks instead of a serial fallback. A shard is never emitted empty:
 //! when the data cannot feed `k` shards, fewer come back, down to a
 //! single unbounded shard.
-
-use std::cmp::Ordering;
+//!
+//! Both stages emit their intervals in ascending order, and the slices
+//! they describe are disjoint in the plane of the first two GAO
+//! coordinates. So a caller that concatenates per-shard outputs in the
+//! order the shards were produced gets the serial GAO-lexicographic
+//! stream, with no comparison key and no merge.
 
 use crate::backend::TrieStorage;
 use crate::trie::NodeId;
-use crate::value::{Tuple, Val, NEG_INF, POS_INF};
+use crate::value::{Val, NEG_INF, POS_INF};
 
 /// One contiguous, inclusive interval `[lo, hi]` of the first GAO
 /// attribute's domain (`lo = −∞` / `hi = +∞` at the outer shards). Shards
@@ -113,18 +117,10 @@ impl ShardSpec {
         self.second.is_some()
     }
 
-    /// The smallest `(first, second)` GAO coordinate pair any tuple of
-    /// this spec's slice can carry — the **watermark** a streaming merge
-    /// compares buffered tuples against: a tuple whose [`GaoOrder::key2`]
-    /// is strictly below a still-silent spec's lower corner cannot be
-    /// out-ordered by anything that spec will ever emit, because spec
-    /// slices are disjoint in the `(first, second)` plane.
-    pub fn lower_corner(&self) -> (Val, Val) {
-        (self.bounds.lo, self.second.map_or(NEG_INF, |b| b.lo))
-    }
-
     /// True when `(a0, a1)` — the first two GAO coordinates of a tuple —
-    /// falls inside this spec's slice of the output space.
+    /// falls inside this spec's slice of the output space (`a1` is ignored
+    /// by plain specs). The parallel consumer asserts it, in debug builds,
+    /// for every tuple it takes from a shard.
     pub fn contains(&self, a0: Val, a1: Val) -> bool {
         self.bounds.contains(a0)
             && match self.second {
@@ -140,82 +136,6 @@ impl std::fmt::Display for ShardSpec {
             None => write!(f, "{}", self.bounds),
             Some(b2) => write!(f, "{}×{}", self.bounds, b2),
         }
-    }
-}
-
-/// The GAO-lexicographic comparison key over tuples already **translated**
-/// to the caller's attribute numbering.
-///
-/// `order[i]` names the original attribute sitting at GAO position `i`,
-/// so comparing two translated tuples coordinate-by-coordinate *through*
-/// `order` reproduces the execution-side (GAO) lexicographic order — the
-/// global order every Minesweeper probe loop certifies tuples in. This is
-/// the key a parallel merge needs once shard workers emit translated
-/// tuples: per-shard streams are sorted under [`GaoOrder::cmp_tuples`],
-/// and a k-way merge keyed by it reproduces the serial stream exactly,
-/// with no post-hoc translation step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GaoOrder {
-    /// `order[i]` = original attribute at GAO position `i`.
-    order: Vec<usize>,
-}
-
-impl GaoOrder {
-    /// Wraps a GAO permutation (`order[i]` = original attribute at GAO
-    /// position `i`). The identity permutation is valid and means the
-    /// stored numbering already is the GAO.
-    pub fn new(order: Vec<usize>) -> Self {
-        debug_assert!(
-            {
-                let mut seen = vec![false; order.len()];
-                order
-                    .iter()
-                    .all(|&a| a < seen.len() && !std::mem::replace(&mut seen[a], true))
-            },
-            "GAO order must be a permutation: {order:?}"
-        );
-        GaoOrder { order }
-    }
-
-    /// The identity order over `n` attributes (stored numbering == GAO).
-    pub fn identity(n: usize) -> Self {
-        GaoOrder::new((0..n).collect())
-    }
-
-    /// Number of attributes the order covers.
-    pub fn n_attrs(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Compares two translated tuples in GAO-lexicographic order.
-    pub fn cmp_tuples(&self, a: &[Val], b: &[Val]) -> Ordering {
-        for &c in &self.order {
-            match a[c].cmp(&b[c]) {
-                Ordering::Equal => {}
-                other => return other,
-            }
-        }
-        Ordering::Equal
-    }
-
-    /// The first two GAO coordinates of a translated tuple — the
-    /// projection shard slices are defined over ([`NEG_INF`] stands in
-    /// for a missing second attribute). Comparable against
-    /// [`ShardSpec::lower_corner`]: a tuple key strictly below a spec's
-    /// lower corner provably precedes everything that spec can emit.
-    pub fn key2(&self, t: &[Val]) -> (Val, Val) {
-        (
-            t[self.order[0]],
-            self.order.get(1).map_or(NEG_INF, |&c| t[c]),
-        )
-    }
-
-    /// True when `tuples` is sorted (strictly, duplicates excluded) under
-    /// the GAO order — the invariant merged parallel output must satisfy.
-    pub fn is_strictly_sorted(&self, tuples: &[Tuple]) -> bool {
-        tuples
-            .windows(2)
-            .all(|w| self.cmp_tuples(&w[0], &w[1]) == Ordering::Less)
     }
 }
 
@@ -526,43 +446,6 @@ mod tests {
         assert!(!n.contains(7, 6) && !n.contains(6, 3));
         assert_eq!(n.to_string(), "[7, 7]×[2, 5]");
         assert!(ShardSpec::unbounded().contains(0, 0));
-    }
-
-    #[test]
-    fn gao_order_compares_translated_tuples_in_gao_order() {
-        // GAO [2, 0, 1]: translated tuples compare by column 2 first.
-        let o = GaoOrder::new(vec![2, 0, 1]);
-        assert_eq!(o.n_attrs(), 3);
-        assert_eq!(o.cmp_tuples(&[9, 9, 1], &[0, 0, 2]), Ordering::Less);
-        assert_eq!(o.cmp_tuples(&[1, 5, 4], &[1, 3, 4]), Ordering::Greater);
-        assert_eq!(o.cmp_tuples(&[1, 2, 3], &[1, 2, 3]), Ordering::Equal);
-        assert_eq!(o.key2(&[7, 8, 9]), (9, 7), "first two GAO coordinates");
-        // Identity order degrades to plain lexicographic comparison.
-        let id = GaoOrder::identity(2);
-        assert_eq!(id.cmp_tuples(&[1, 9], &[2, 0]), Ordering::Less);
-        assert_eq!(id.key2(&[1, 9]), (1, 9));
-        // Unary: the missing second coordinate reads as −∞.
-        assert_eq!(GaoOrder::identity(1).key2(&[5]), (5, NEG_INF));
-        assert!(o.is_strictly_sorted(&[vec![9, 9, 1], vec![0, 0, 2], vec![1, 0, 2]]));
-        assert!(!o.is_strictly_sorted(&[vec![0, 0, 2], vec![9, 9, 1]]));
-    }
-
-    #[test]
-    fn lower_corner_orders_disjoint_specs() {
-        let plain = ShardSpec::plain(ShardBounds { lo: 3, hi: 9 });
-        assert_eq!(plain.lower_corner(), (3, NEG_INF));
-        let nested = ShardSpec {
-            bounds: ShardBounds { lo: 7, hi: 7 },
-            second: Some(ShardBounds { lo: 2, hi: 5 }),
-        };
-        assert_eq!(nested.lower_corner(), (7, 2));
-        // A tuple key from an earlier slice is strictly below a later
-        // spec's corner — the watermark property the merge relies on.
-        let o = GaoOrder::identity(2);
-        assert!(o.key2(&[2, 100]) < plain.lower_corner());
-        assert!(o.key2(&[7, 1]) < nested.lower_corner());
-        assert!(o.key2(&[7, 2]) >= nested.lower_corner());
-        assert_eq!(ShardSpec::unbounded().lower_corner(), (NEG_INF, NEG_INF));
     }
 
     #[test]

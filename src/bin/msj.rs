@@ -37,8 +37,8 @@
 //!   streaming executor: the probe loop stops after `K` certified tuples
 //!   instead of materializing the whole result.
 //! * `--threads N` (or `--algo minesweeper-par`) runs the sharded
-//!   parallel engine — equi-depth shard tasks on a work-stealing deque,
-//!   reassembled by a global-order k-way heap merge, byte-identical to
+//!   parallel engine — equi-depth shard tasks claimed in ascending order,
+//!   their outputs concatenated in spec order, byte-identical to
 //!   the serial engine (`--limit` streams included, cancelling remaining
 //!   shard work early). `--stats` adds the per-shard breakdown.
 //!
@@ -151,7 +151,7 @@ fn print_gao_line(stmt: &PreparedStatement) {
 
 /// The per-shard breakdown of a parallel run: one line per shard task
 /// with its output-space slice and counters, flagged when the task was
-/// stolen by an idle worker or cancelled before completing.
+/// cancelled before completing.
 fn print_shard_lines(threads: usize, shards: &[minesweeper_join::core::ShardStats]) {
     eprintln!(
         "# parallel: {} worker(s), {} shard task(s)",
@@ -160,12 +160,11 @@ fn print_shard_lines(threads: usize, shards: &[minesweeper_join::core::ShardStat
     );
     for (i, s) in shards.iter().enumerate() {
         eprintln!(
-            "#   shard {i} {}: outputs={} findgap={} probes={}{}{}",
+            "#   shard {i} {}: outputs={} findgap={} probes={}{}",
             s.spec,
             s.stats.outputs,
             s.stats.find_gap_calls,
             s.stats.probe_points,
-            if s.stolen { " (stolen)" } else { "" },
             if s.completed {
                 ""
             } else {

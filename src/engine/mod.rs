@@ -249,7 +249,7 @@ pub struct ExecOptions {
     pub threads: usize,
     /// Cap on materialized output tuples. The serial engine pushes the
     /// limit into the probe loop; the parallel engine stops its
-    /// global-order merge at the cap and cancels queued and in-flight
+    /// in-order drain at the cap and cancels queued and in-flight
     /// shards (memory `O(tasks × channel capacity + limit)`), returning
     /// the exact serial prefix; baselines truncate after running to
     /// completion.

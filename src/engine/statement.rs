@@ -24,11 +24,10 @@ use super::catalog::decode;
 use super::{EngineError, ExecOptions};
 
 /// Pipeline description shared by every sharded-execution explain (the
-/// `strategy` field carries the data-dependent variant; the `merge`
-/// field names the global-order reassembly).
+/// `strategy` field carries the data-dependent variant).
 const SHARD_DETAIL: &str = "equi-depth shard tasks of the first GAO attribute (nested \
-                            second-attribute splits for heavy runs) on a work-stealing deque, \
-                            k-way heap merge keyed by GAO-translated tuples";
+                            second-attribute splits for heavy runs) claimed in ascending order, \
+                            outputs concatenated in spec order";
 
 /// True when `deadline` is set and has passed. Callers poll this between
 /// tuples — `Instant::now()` is tens of nanoseconds, far below one probe.
@@ -173,7 +172,6 @@ impl PreparedStatement {
                     threads,
                     tasks: specs.len(),
                     strategy: shard_strategy(&specs, threads).to_string(),
-                    merge: minesweeper_core::MERGE_STRATEGY.to_string(),
                     detail: SHARD_DETAIL.to_string(),
                 });
             }
@@ -340,7 +338,7 @@ impl PreparedStatement {
     /// yielded as the probe loop certifies them (global attribute order),
     /// and dropping the stream early skips the remaining certificate
     /// work. Asked for `threads`, shard tasks run on background workers
-    /// feeding bounded channels into a global-order heap merge, rows
+    /// feeding bounded channels that are drained in spec order, rows
     /// arrive **byte-identical to the in-thread sequence** (re-indexed
     /// GAO or not), and dropping the stream cancels queued and in-flight
     /// shards — `--limit` and `--threads` compose exactly. Baselines

@@ -270,10 +270,11 @@ fn run_query(
     };
 
     if let Some(format) = explain {
-        let result = {
+        // Explain the run this server would execute, budget clamp included.
+        let result = budgeted(shared, &stmt, opts).and_then(|(opts, _)| {
             let mut body = PrefixWriter::new(writer);
-            write_explain(&mut body, &stmt, opts, format == ExplainFormat::Json)
-        };
+            write_explain(&mut body, &stmt, &opts, format == ExplainFormat::Json)
+        });
         return match result {
             Ok(false) => Ok(false),
             result => reply(writer, shared, result.map(|_| 0)).map(|()| true),
@@ -281,6 +282,25 @@ fn run_query(
     }
 
     execute_statement(writer, shared, &stmt, opts, timeout)
+}
+
+/// The options `stmt` runs with on this server under `opts`, and what the
+/// run costs in pool workers. A request may name any worker count, but it
+/// runs with — and is charged for — at most the whole budget, so the
+/// permits debited are the workers spawned. The one place the clamp is
+/// made: both execution and `explain` go through it.
+fn budgeted(
+    shared: &Shared,
+    stmt: &PreparedStatement,
+    opts: &ExecOptions,
+) -> Result<(ExecOptions, DispatchKind), EngineError> {
+    let mut opts = opts.clone();
+    let mut kind = stmt.dispatch_kind(&opts)?;
+    if let DispatchKind::Parallel(threads) = &mut kind {
+        *threads = (*threads).min(shared.budget.budget());
+        opts.threads = *threads;
+    }
+    Ok((opts, kind))
 }
 
 /// Runs one planned statement — the shared tail of `Q` and `EXEC`: arm
@@ -298,23 +318,16 @@ fn execute_statement(
     // the per-request budget falls back to the server-wide default.
     let started = Instant::now();
     let timeout = timeout.or(shared.options.default_timeout);
-    let mut opts = opts.clone();
-    opts.deadline = timeout.map(|budget| started + budget);
 
     // Admission control: figure out what the request will cost in pool
     // workers and block until the global budget can cover it. Planning
     // is deliberately *not* gated — it is cheap, cached, and needed to
     // know the cost in the first place.
-    let kind = match stmt.dispatch_kind(&opts) {
-        Ok(kind) => kind,
+    let (mut opts, kind) = match budgeted(shared, stmt, opts) {
+        Ok(resolved) => resolved,
         Err(e) => return reply(writer, shared, Err(e)).map(|()| true),
     };
-    // A request may name any worker count, but it runs with — and is
-    // charged for — at most the whole budget: `acquire` clamps the cost
-    // the same way, so the permits debited are the workers spawned.
-    if let DispatchKind::Parallel(threads) = kind {
-        opts.threads = threads.min(shared.budget.budget());
-    }
+    opts.deadline = timeout.map(|budget| started + budget);
     let permit = shared.budget.acquire(kind.worker_cost());
 
     let outcome = {

@@ -152,9 +152,36 @@ fn theorem_5_4_dyadic_vs_generic_cds() {
 /// Proposition 2.5's flavor, empirically: the FindGap count never exceeds
 /// the Prop 2.6 canonical bound by more than the paper's 4^r·2^n query
 /// factor on β-acyclic runs (loose sanity envelope, constants included).
+/// Inputs: a fixed 2-path under random data, and random tree-shaped
+/// queries run through `core::execute`, so NEO selection and re-indexing
+/// are on the path.
 #[test]
 fn theorem_3_2_findgap_envelope() {
-    use minesweeper_join::core::canonical_certificate_size;
+    use minesweeper_join::core::{canonical_certificate_size, execute};
+    use minesweeper_join::workloads::{random_tree_instance, TreeQueryConfig};
+
+    // Theorem 3.2: probes ≤ O(2^r |C|) + Z with r = 2, plus slack for
+    // small constants.
+    let check = |probes: u64, ub: u64, z: u64, ctx: &str| {
+        assert!(
+            probes <= 8 * ub + 4 * z + 16,
+            "{ctx}: probes {probes} vs bound from ub {ub} z {z}"
+        );
+    };
+    for n_attrs in 2..=6 {
+        for seed in 0..100 {
+            let cfg = TreeQueryConfig {
+                n_attrs,
+                ..TreeQueryConfig::default()
+            };
+            let inst = random_tree_instance(cfg, seed);
+            let exec = execute(&inst.db, &inst.query).unwrap();
+            let ub = canonical_certificate_size(&inst.db, &inst.query).unwrap();
+            let z = exec.result.tuples.len() as u64;
+            let ctx = format!("tree n_attrs={n_attrs} seed={seed}");
+            check(exec.result.stats.probe_points, ub, z, &ctx);
+        }
+    }
     let mut rng = 0xabcdu64;
     let mut next = move |m: u64| {
         rng ^= rng << 13;
@@ -182,14 +209,6 @@ fn theorem_3_2_findgap_envelope() {
         let res = minesweeper_join(&db, &q, ProbeMode::Chain).unwrap();
         let ub = canonical_certificate_size(&db, &q).unwrap();
         let z = res.tuples.len() as u64;
-        // Theorem 3.2: probes ≤ O(2^r |C|) + Z with r = 2, plus slack for
-        // small constants.
-        assert!(
-            res.stats.probe_points <= 8 * ub + 4 * z + 16,
-            "probes {} vs bound from ub {} z {}",
-            res.stats.probe_points,
-            ub,
-            z
-        );
+        check(res.stats.probe_points, ub, z, "2-path");
     }
 }

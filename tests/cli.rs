@@ -177,11 +177,11 @@ fn parallel_engine_matches_serial_output_and_reports_shards() {
     let stderr = String::from_utf8_lossy(&stats.stderr);
     assert!(stderr.contains("# parallel: 3 worker(s)"), "{stderr}");
     assert!(stderr.contains("shard 0"), "{stderr}");
-    // `--explain` mentions the parallel strategy and the merge.
+    // `--explain` mentions the parallel strategy and the reassembly.
     let explain = run(&["--algo", "minesweeper-par", "--explain"]);
     let stdout = String::from_utf8_lossy(&explain.stdout);
     assert!(stdout.contains("equi-depth shard"), "{stdout}");
-    assert!(stdout.contains("merge global-order-heap"), "{stdout}");
+    assert!(stdout.contains("concatenated in spec order"), "{stdout}");
     assert!(stdout.contains("probe mode"), "{stdout}");
 }
 

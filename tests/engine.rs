@@ -482,15 +482,31 @@ fn matrix_engine() -> Engine {
         [vec![sv("ash"), sv("tree")], vec![sv("fir"), sv("tree")]],
     )
     .unwrap();
+    // One heavy duplicate run: every Q tuple shares z = 9, and the path's
+    // GAO puts z first, so `threads=4` nested-splits the run on y.
+    let n = 2_000;
+    e.add_relation(
+        "P",
+        &[ColumnType::Int; 2],
+        ints((0..n).map(|i| vec![(i * 7) % n, i]).collect()),
+    )
+    .unwrap();
+    e.add_relation(
+        "Q",
+        &[ColumnType::Int; 2],
+        ints((0..n).map(|i| vec![i, 9]).collect()),
+    )
+    .unwrap();
     e
 }
 
 /// The option matrix's queries: (text, must re-index?).
-const MATRIX_QUERIES: [(&str, bool); 4] = [
+const MATRIX_QUERIES: [(&str, bool); 5] = [
     ("A(x), B(x)", false),
     ("R(a, b, c), S(a, c), T(b, c)", true),
     ("R(a, b, 3), T(b, 3)", true),
     ("G(n, \"never-seen\")", false),
+    ("P(x, y), Q(y, z)", true),
 ];
 
 /// One binder, two front doors: for every literal-free matrix query (and
@@ -554,6 +570,19 @@ fn execute_stream_and_body_agree_across_the_option_matrix() {
         let all = text_rows(&reference);
         if text.starts_with('A') {
             assert!(!stmt.plan().is_reindexed(), "{text}: precondition");
+        }
+        if text.starts_with('P') {
+            // Every shard outgrows its 64-tuple channel, so the streaming
+            // `threads=4` cells park later workers behind the in-order
+            // consumer.
+            let par = ExecOptions::default().with_threads(4);
+            let split = stmt.explain(&par).unwrap().shards.unwrap();
+            assert_eq!(split.strategy, "nested", "{text}: precondition");
+            let shards = stmt.execute(&par.with_stats()).unwrap().shards.unwrap();
+            assert!(
+                shards.len() > 1 && shards.iter().all(|s| s.stats.outputs > 64),
+                "{text}: precondition {shards:?}"
+            );
         }
         assert!(
             if text.starts_with('G') { z == 0 } else { z > 2 },

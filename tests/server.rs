@@ -208,7 +208,22 @@ fn oversized_thread_counts_run_as_the_budget() {
     let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", budget).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let mut bodies = Vec::new();
+    let mut explained = Vec::new();
     for threads in [budget, 1_000_000, usize::MAX] {
+        // `explain` describes the run the server will execute: the
+        // budget-clamped one, not the worker count the request named.
+        match client
+            .request(&format!("Q explain threads={threads} {query}"))
+            .unwrap()
+        {
+            Reply::Ok { body, .. } => explained.push(
+                body.lines()
+                    .find(|l| l.starts_with("parallel:"))
+                    .unwrap_or_else(|| panic!("threads={threads}: no parallel line in {body}"))
+                    .to_string(),
+            ),
+            Reply::Err { code, message } => panic!("threads={threads}: ERR {code} {message}"),
+        }
         let before = server.stats();
         match client
             .request(&format!("Q threads={threads} {query}"))
@@ -230,6 +245,10 @@ fn oversized_thread_counts_run_as_the_budget() {
         );
     }
     assert!(bodies.iter().all(|b| b == &bodies[0] && !b.is_empty()));
+    assert!(
+        explained.iter().all(|l| l == &explained[0]),
+        "{explained:#?}"
+    );
     let stats = server.stats();
     assert_eq!(stats.errors, 0);
     assert!(stats.peak_in_flight <= budget as u64);
