@@ -22,6 +22,13 @@
 #   7. retired parallel pipeline: no tracked file outside the history
 #      files may name the heap merge or the work-stealing shim that the
 #      in-order drain and the claim cursor replaced.
+#   8. one probe loop: (a) outside tests, crates/core/src calls a CDS's
+#      `get_probe_point` only from the arms of stream.rs's `Cds` dispatch,
+#      and the loop calls that dispatch once; (b) no tracked file outside
+#      the history files names the deleted bow-tie copy of the loop.
+#   9. markdown files named in Rust sources: every `NAME.md` a tracked
+#      `.rs` file mentions exists, at the repository root or in the
+#      file's own directory or one above it.
 #
 # Usage: ci/check_docs.sh [FILE.md ...]   (defaults to docs/*.md,
 # README.md, and ci/README.md, run from the repository root; the
@@ -170,6 +177,50 @@ elif [ $? -ne 1 ]; then
     echo "ERROR: git grep failed; run from a git checkout"
     fail=1
 fi
+
+# 8. One probe loop. Non-test code is everything before a file's first
+#    `#[cfg(test)]` (tests.rs files are all test code); comment lines are
+#    skipped. (a) Each CDS type has its own `get_probe_point`, so the one
+#    legal call site is an arm of `Cds::next_probe`, and the loop is the
+#    one caller of `next_probe`.
+core_code() {
+    local f
+    for f in crates/core/src/*.rs; do
+        [ "$(basename "$f")" = tests.rs ] && continue
+        awk -v f="$f" '/#\[cfg\(test\)\]/ { exit }
+            { t = $0; sub(/^[ \t]+/, "", t) } t !~ /^\/\// { print f ":" FNR ": " t }' "$f"
+    done
+}
+dispatch_arm='^crates/core/src/stream\.rs:[0-9]+: Cds::[A-Za-z]+\(cds\) => cds\.get_probe_point\('
+while IFS= read -r hit; do
+    echo "ERROR: a second probe loop calls get_probe_point outside the Cds dispatch: $hit"
+    fail=1
+done < <(core_code | grep -F 'get_probe_point(' | grep -vE "$dispatch_arm" || true)
+callers=$(core_code | grep -cF '.next_probe(' || true)
+if [ "$callers" -ne 1 ]; then
+    echo "ERROR: crates/core/src calls Cds::next_probe $callers times; the one probe loop calls it once"
+    fail=1
+fi
+# (b) The deleted bow-tie copy (bracketed so this script does not match
+#     itself). The top-level Markdown notes record history and may name it.
+mapfile -t tracked < <(git ls-files -- . ':(top,glob,exclude)*.md')
+if hits=$(git grep -nE 'bowtie[_]join|bowtie[.]rs' -- "${tracked[@]}"); then
+    echo "$hits" | sed 's/^/ERROR: retired name in /'
+    fail=1
+elif [ $? -ne 1 ]; then
+    echo "ERROR: git grep failed; run from a git checkout"
+    fail=1
+fi
+
+# 9. Markdown files named in Rust sources exist.
+while IFS=: read -r rs line md; do
+    dir=$(dirname "$rs")
+    if [ -e "$md" ] || [ -e "$dir/$md" ] || [ -e "$(dirname "$dir")/$md" ]; then
+        continue
+    fi
+    echo "ERROR: $rs:$line names $md, which does not exist"
+    fail=1
+done < <(git grep -noE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b' -- '*.rs')
 
 if [ "$fail" -ne 0 ]; then
     echo "doc check: FAILED"

@@ -20,11 +20,11 @@
 //! chain of **shadow** nodes, then runs the same walk over
 //! (shadow, original) pairs.
 //!
-//! Deviation from the paper's pseudocode (documented in DESIGN.md): the
-//! memoized constraint of Algorithm 7 line 11 is inserted at the *shadow*
-//! pattern `P̄(u)` rather than `P(u)`; inserting at the more general `P(u)`
-//! would claim the exclusion for tuples that do not match the rest of the
-//! sub-chain. For chains the two coincide, so Algorithm 4 is unaffected.
+//! Deviation from the paper's pseudocode: the memoized constraint of
+//! Algorithm 7 line 11 is inserted at the *shadow* pattern `P̄(u)` rather
+//! than `P(u)`; inserting at the more general `P(u)` would claim the
+//! exclusion for tuples that do not match the rest of the sub-chain. For
+//! chains the two coincide, so Algorithm 4 is unaffected.
 
 use crate::constraint::Constraint;
 use crate::interval::IntervalSet;
@@ -102,7 +102,7 @@ impl ConstraintTree {
     }
 
     /// Creates a CDS with explicit options; `memoize = false` disables the
-    /// chain-walk memoization (ablation only — see DESIGN.md).
+    /// chain-walk memoization (an ablation only; see the `memoize` field).
     pub fn with_options(n_attrs: usize, mode: ProbeMode, memoize: bool) -> Self {
         assert!(n_attrs >= 1);
         ConstraintTree {

@@ -21,10 +21,10 @@
 //! `Ω(|C|²)` pairs to `O(|C|)` explored pairs (Theorem 5.4).
 //!
 //! This implementation corrects two gaps in the paper's Algorithm 10
-//! pseudocode (see DESIGN.md): the `b = +∞` case inserts an `A`-exclusion
-//! (otherwise the algorithm would loop), and the dyadic descent follows the
-//! root-to-leaf path of the currently selected *free* `b` (so the returned
-//! probe is guaranteed active with respect to `B`-constraints as well).
+//! pseudocode: the `b = +∞` case inserts an `A`-exclusion (otherwise the
+//! algorithm would loop), and the dyadic descent follows the root-to-leaf
+//! path of the currently selected *free* `b` (so the returned probe is
+//! guaranteed active with respect to `B`-constraints as well).
 
 use std::collections::BTreeMap;
 

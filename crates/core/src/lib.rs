@@ -34,11 +34,11 @@
 //!   [`Minesweeper`], [`Naive`], and every baseline (registry in
 //!   `minesweeper_baselines::registry`);
 //! * [`minesweeper_join`] — Algorithm 2 over the generic
-//!   [`minesweeper_cds::ConstraintTree`];
-//! * [`triangle_join`] — Theorem 5.4's specialization for
-//!   `R(A,B) ⋈ S(B,C) ⋈ T(A,C)`;
+//!   [`minesweeper_cds::ConstraintTree`]; on the bow-tie
+//!   `R(X) ⋈ S(X,Y) ⋈ T(Y)` it is Appendix I's Algorithm 9;
+//! * [`triangle_join`] — Theorem 5.4: the same probe loop over the dyadic
+//!   [`minesweeper_cds::TriangleCds`], for `R(A,B) ⋈ S(B,C) ⋈ T(A,C)`;
 //! * [`set_intersection()`] — the Appendix H specialization (Algorithm 8);
-//! * [`bowtie_join`] — the Appendix I specialization (Algorithm 9);
 //! * [`choose_gao`] / [`reindex_for_gao`] — GAO selection (nested
 //!   elimination order when β-acyclic, minimum elimination width
 //!   otherwise) and physical re-indexing;
@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod algorithm;
-pub mod bowtie;
 pub mod certificate;
 pub mod execute;
 pub mod explain;
@@ -65,7 +64,6 @@ pub mod stream;
 pub mod triangle;
 
 pub use algorithm::{Algorithm, Minesweeper, MinesweeperPar, Naive};
-pub use bowtie::bowtie_join;
 pub use certificate::{canonical_certificate_size, Argument, Comparison, VarRef};
 pub use execute::{execute, ExecStream, Execution, Run};
 pub use explain::{

@@ -11,25 +11,22 @@
 //! `⟨R[i^{(v₁)}], …, R[i^{(v)}], (R[i^{(v,ℓ)}], R[i^{(v,h)}])⟩` with the
 //! equality components placed at the atom's GAO positions and wildcards
 //! elsewhere (Theorem 3.2 charges each iteration to a certificate
-//! comparison or an output tuple).
+//! comparison or an output tuple). Exploring under *both* bracketing
+//! children is exactly what Algorithm 9 does for the bow-tie (Appendix
+//! I.3): it finds certificates the lexicographic neighbour alone misses.
 //!
 //! The probe loop itself lives in [`crate::stream`] as a resumable state
 //! machine; [`minesweeper_join`] is the drain-everything wrapper around
-//! it. Per DESIGN.md, branches whose
-//! bracketing coordinate is out of range are skipped (their index tuples
-//! are undefined), and the `ℓ`/`h` branches are deduplicated on exact hits
-//! — the duplicate `FindGap` calls of the pseudocode would return identical
-//! constraints.
+//! it. Two deviations from the pseudocode: branches whose bracketing
+//! coordinate is out of range are skipped (their index tuples are
+//! undefined), and the `ℓ`/`h` branches are deduplicated on exact hits —
+//! the duplicate `FindGap` calls would return identical constraints.
 
 use minesweeper_cds::ProbeMode;
 use minesweeper_storage::{Database, ExecStats, ShardSpec, Tuple};
 
 use crate::query::{Query, QueryError};
-use crate::stream::{ProbeCtx, ShardProbe};
-
-// The exploration engine is shared with the specialized joins
-// (`triangle_join`) and re-exported for them from the stream module.
-pub(crate) use crate::stream::{explore_atom, merge_probe_stats};
+use crate::stream::{CdsChoice, ProbeCtx, ShardProbe};
 
 /// Output tuples plus execution statistics.
 #[derive(Debug, Clone)]
@@ -67,18 +64,22 @@ pub fn minesweeper_join(
     mode: ProbeMode,
 ) -> Result<JoinResult, QueryError> {
     query.validate(db)?;
-    let ctx = ProbeCtx {
+    Ok(drain(&ProbeCtx {
         db,
         query,
-        mode,
+        cds: CdsChoice::Tree(mode),
         inv: None,
-    };
-    let mut probe = ShardProbe::open(&ctx, ShardSpec::unbounded(), &[], usize::MAX, None);
+    }))
+}
+
+/// Runs one unconfined probe loop to exhaustion.
+pub(crate) fn drain(ctx: &ProbeCtx<'_>) -> JoinResult {
+    let mut probe = ShardProbe::open(ctx, ShardSpec::unbounded(), &[], usize::MAX, None);
     let tuples: Vec<Tuple> = std::iter::from_fn(|| probe.next()).collect();
-    Ok(JoinResult {
+    JoinResult {
         tuples,
         stats: probe.stats(),
-    })
+    }
 }
 
 #[cfg(test)]

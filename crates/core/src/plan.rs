@@ -47,7 +47,7 @@ use crate::execute::Execution;
 use crate::explain::{ExplainAtom, ExplainPlan};
 use crate::gao::{choose_gao, reindex_for_gao, GaoChoice};
 use crate::query::{Query, QueryError};
-use crate::stream::ProbeCtx;
+use crate::stream::{CdsChoice, ProbeCtx};
 
 /// Exhaustive-treewidth search limit handed to [`choose_gao`]; larger
 /// queries fall back to the min-fill heuristic.
@@ -229,13 +229,13 @@ impl PreparedExec {
 
     /// What a probe loop of this execution reads: the cached re-indexed
     /// database when one was built (otherwise the caller's `db`), the
-    /// execution-side query, the probe mode, and the original-numbering
-    /// translation.
+    /// execution-side query, the generic CDS in the GAO's probe mode, and
+    /// the original-numbering translation.
     pub(crate) fn ctx<'a>(&'a self, db: &'a Database) -> ProbeCtx<'a> {
         ProbeCtx {
             db: self.reindexed.as_deref().unwrap_or(db),
             query: &self.exec_query,
-            mode: self.gao.mode,
+            cds: CdsChoice::Tree(self.gao.mode),
             inv: self.inv.as_deref(),
         }
     }

@@ -23,7 +23,7 @@
 //!    consumer needs next always starts first, and shards whose
 //!    certificates turn out unbalanced do not pin the others to one
 //!    worker. Each task runs an independent probe loop with its own
-//!    `ConstraintTree`, its own [`minesweeper_storage::GapCursor`]s, and
+//!    CDS, its own [`minesweeper_storage::GapCursor`]s, and
 //!    its own [`ExecStats`]; the confinement is a handful of pre-seeded
 //!    constraints — depth-0 intervals for the first attribute, all-star
 //!    depth-1 intervals for a nested shard's second attribute.

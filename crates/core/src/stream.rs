@@ -26,13 +26,18 @@
 //!
 //! Nothing outside this module builds a `TupleStream`: every probe loop in
 //! the crate — the in-thread arm of [`crate::ExecStream`], each shard
-//! worker, [`crate::minesweeper_join`] — is a `ShardProbe`, the stream plus
-//! the cap bookkeeping all of them share.
+//! worker, [`crate::minesweeper_join`], [`crate::triangle_join`] — is a
+//! `ShardProbe`, the stream plus the cap bookkeeping all of them share.
+//! The CDS is a field of that one loop, not a reason to copy it: the
+//! generic `ConstraintTree` (Algorithms 3–7), or the dyadic `TriangleCds`
+//! (Algorithm 10), which is all Theorem 5.4 changes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use minesweeper_cds::{Constraint, ConstraintTree, Pattern, PatternComp, ProbeMode, ProbeStats};
+use minesweeper_cds::{
+    Constraint, ConstraintTree, Pattern, PatternComp, ProbeMode, ProbeStats, TriangleCds,
+};
 use minesweeper_storage::{
     Database, ExecStats, GapCursor, NodeId, ShardSpec, StorageRef, TrieStorage, Tuple, Val,
     NEG_INF, POS_INF,
@@ -40,6 +45,57 @@ use minesweeper_storage::{
 
 use crate::query::{Atom, Query};
 use crate::sharded::ShardStats;
+
+/// Which constraint data structure a probe loop runs over.
+#[derive(Clone, Copy)]
+pub(crate) enum CdsChoice {
+    /// The generic `ConstraintTree` in the given probe mode.
+    Tree(ProbeMode),
+    /// The dyadic triangle CDS over the `B`-domain `0..b_domain`; only for
+    /// `R(A,B) ⋈ S(B,C) ⋈ T(A,C)` under GAO `(A, B, C)`.
+    Triangle { b_domain: Val },
+}
+
+/// A probe loop's constraint data structure, matched per call like
+/// `StorageRef`.
+enum Cds {
+    Tree(ConstraintTree),
+    Triangle(TriangleCds),
+}
+
+impl Cds {
+    fn new(choice: CdsChoice, n_attrs: usize) -> Self {
+        match choice {
+            CdsChoice::Tree(mode) => Cds::Tree(ConstraintTree::new(n_attrs, mode)),
+            CdsChoice::Triangle { b_domain } => {
+                debug_assert_eq!(n_attrs, 3, "the triangle CDS spans (A, B, C)");
+                Cds::Triangle(TriangleCds::new(b_domain))
+            }
+        }
+    }
+
+    /// `getProbePoint`: writes the next active tuple into `t`, or returns
+    /// false once the constraints cover the output space. The
+    /// triangle CDS's array is copied into `t`'s buffer, so a probe
+    /// allocates nothing the CDS itself does not.
+    fn next_probe(&mut self, t: &mut Tuple, pst: &mut ProbeStats) -> bool {
+        match self {
+            Cds::Tree(cds) => cds.get_probe_point(pst).map(|p| *t = p),
+            Cds::Triangle(cds) => cds.get_probe_point(pst).map(|p| {
+                t.clear();
+                t.extend_from_slice(&p);
+            }),
+        }
+        .is_some()
+    }
+
+    fn insert_constraint(&mut self, c: &Constraint, pst: &mut ProbeStats) {
+        match self {
+            Cds::Tree(cds) => cds.insert_constraint(c, pst),
+            Cds::Triangle(cds) => cds.insert_constraint(c, pst),
+        }
+    }
+}
 
 /// A lazy stream of certified output tuples (see the module docs). It
 /// borrows everything it reads — a stream never owns a database. The
@@ -49,7 +105,7 @@ struct TupleStream<'a> {
     db: &'a Database,
     /// The execution-side query (re-indexed when the plan demanded it).
     query: &'a Query,
-    cds: ConstraintTree,
+    cds: Cds,
     pst: ProbeStats,
     stats: ExecStats,
     /// One positional probe cursor per atom, persisted across resumes.
@@ -96,6 +152,9 @@ impl<'a> TupleStream<'a> {
     ///   how the engine front door implements query literals without
     ///   touching the catalog.
     ///
+    /// These are the shapes `⟨⟩`, `⟨*⟩` and `⟨*,*⟩`, which the triangle
+    /// CDS stores too, so its loop is confined the same way.
+    ///
     /// Seed constraints are counted in `constraints_inserted` like any
     /// other. Once an armed `cancel` flag turns true, the probe loop stops
     /// between probe points and `next` returns `None` without marking the
@@ -111,7 +170,7 @@ impl<'a> TupleStream<'a> {
         let ProbeCtx {
             db,
             query,
-            mode,
+            cds,
             inv,
         } = *ctx;
         let n = query.n_attrs;
@@ -128,7 +187,7 @@ impl<'a> TupleStream<'a> {
             .iter()
             .map(|a| GapCursor::new(db.relation(a.rel).arity()))
             .collect();
-        let mut cds = ConstraintTree::new(n, mode);
+        let mut cds = Cds::new(cds, n);
         let mut pst = ProbeStats::default();
         if spec.bounds.lo != NEG_INF {
             cds.insert_constraint(
@@ -200,10 +259,8 @@ impl Iterator for TupleStream<'_> {
             return None;
         }
         let db = self.db;
-        while !self.is_cancelled() {
-            let Some(t) = self.cds.get_probe_point(&mut self.pst) else {
-                break;
-            };
+        let mut t = Tuple::new();
+        while !self.is_cancelled() && self.cds.next_probe(&mut t, &mut self.pst) {
             self.gaps.clear();
             let mut is_output = true;
             for (atom, cursor) in self.query.atoms.iter().zip(&mut self.cursors) {
@@ -255,13 +312,13 @@ impl Iterator for TupleStream<'_> {
 }
 
 /// What every probe loop of one run shares: the execution database, the
-/// execution-side query, the probe mode, and the original-numbering
+/// execution-side query, the CDS choice, and the original-numbering
 /// translation (`inv[a]` = execution column of original attribute `a`).
 #[derive(Clone, Copy)]
 pub(crate) struct ProbeCtx<'a> {
     pub(crate) db: &'a Database,
     pub(crate) query: &'a Query,
-    pub(crate) mode: ProbeMode,
+    pub(crate) cds: CdsChoice,
     pub(crate) inv: Option<&'a [usize]>,
 }
 
@@ -343,7 +400,7 @@ impl<'a> ShardProbe<'a> {
 }
 
 /// Folds CDS-internal counters into the execution statistics.
-pub(crate) fn merge_probe_stats(stats: &mut ExecStats, pst: &ProbeStats) {
+fn merge_probe_stats(stats: &mut ExecStats, pst: &ProbeStats) {
     stats.probe_points += pst.probe_points;
     stats.constraints_inserted += pst.constraints_inserted;
     stats.backtracks += pst.backtracks;
@@ -353,7 +410,7 @@ pub(crate) fn merge_probe_stats(stats: &mut ExecStats, pst: &ProbeStats) {
 /// Explores one atom around probe `t` (Algorithm 2 lines 4–10 and 15–20):
 /// appends the discovered gap constraints and returns whether the all-exact
 /// descent matched `t`'s projection (line 11's test for this relation).
-pub(crate) fn explore_atom<S: TrieStorage>(
+fn explore_atom<S: TrieStorage>(
     rel: &S,
     atom: &Atom,
     n_attrs: usize,
@@ -464,7 +521,7 @@ fn explore_rec<S: TrieStorage>(
 
 /// Builds the constraint `⟨…equalities at the atom's GAO positions…,
 /// (lo, hi)⟩` for a gap found at atom depth `prefix_vals.len()`.
-pub(crate) fn make_gap_constraint(
+fn make_gap_constraint(
     atom: &Atom,
     n_attrs: usize,
     prefix_vals: &[Val],
@@ -492,7 +549,7 @@ mod tests {
         let ctx = ProbeCtx {
             db,
             query: q,
-            mode: ProbeMode::Chain,
+            cds: CdsChoice::Tree(ProbeMode::Chain),
             inv: None,
         };
         ShardProbe::open(&ctx, ShardSpec::unbounded(), &[], cap, None)

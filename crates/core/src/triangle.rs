@@ -2,17 +2,18 @@
 //! Theorem 5.4).
 //!
 //! `Q∆ = R(A,B) ⋈ S(B,C) ⋈ T(A,C)` under GAO `(A, B, C)`. The outer
-//! exploration is the generic Algorithm 2 (its constraints have exactly the
-//! seven shapes the [`TriangleCds`] stores); the probe-point search is the
-//! corrected Algorithm 10, whose dyadic subtree pruning explores `O(|C|)`
-//! `(a, b)` prefixes instead of the generic CDS's `Ω(|C|²)` — total
-//! runtime `Õ(|C|^{3/2} + Z)`.
+//! exploration is the generic Algorithm 2 — the one probe loop of
+//! [`crate::stream`], whose constraints have exactly the seven shapes the
+//! [`TriangleCds`](minesweeper_cds::TriangleCds) stores; only the CDS
+//! changes. Its probe-point search is the corrected Algorithm 10, whose
+//! dyadic subtree pruning explores `O(|C|)` `(a, b)` prefixes instead of
+//! the generic CDS's `Ω(|C|²)` — total runtime `Õ(|C|^{3/2} + Z)`.
 
-use minesweeper_cds::{Constraint, ProbeStats, TriangleCds};
-use minesweeper_storage::{Database, ExecStats, GapCursor, RelId, StorageRef, TrieRelation};
+use minesweeper_storage::{Database, RelId, TrieRelation};
 
-use crate::minesweeper::{explore_atom, merge_probe_stats, JoinResult};
+use crate::minesweeper::{drain, JoinResult};
 use crate::query::{Query, QueryError};
+use crate::stream::{CdsChoice, ProbeCtx};
 
 /// Evaluates `R(A,B) ⋈ S(B,C) ⋈ T(A,C)` with the triangle CDS. The three
 /// relations must be binary.
@@ -22,53 +23,15 @@ pub fn triangle_join(
     s: RelId,
     t: RelId,
 ) -> Result<JoinResult, QueryError> {
-    let query = Query::new(3)
-        .atom(r, &[0, 1])
-        .atom(s, &[1, 2])
-        .atom(t, &[0, 2]);
+    let query = triangle_query(r, s, t);
     query.validate(db)?;
     let b_domain = b_domain_bound(db.relation(r), db.relation(s));
-    let mut cds = TriangleCds::new(b_domain);
-    let mut pst = ProbeStats::default();
-    let mut stats = ExecStats::new();
-    let mut tuples = Vec::new();
-    let mut gaps: Vec<Constraint> = Vec::new();
-    let mut cursors: Vec<GapCursor> = query
-        .atoms
-        .iter()
-        .map(|a| GapCursor::new(db.relation(a.rel).arity()))
-        .collect();
-    stats.dense_leaves = query
-        .atoms
-        .iter()
-        .map(|a| db.probe_target(a.rel).dense_runs())
-        .sum();
-    while let Some(probe) = cds.get_probe_point(&mut pst) {
-        gaps.clear();
-        let mut is_output = true;
-        for (atom, cursor) in query.atoms.iter().zip(&mut cursors) {
-            let matched = match db.probe_target(atom.rel) {
-                StorageRef::Sorted(rel) => {
-                    explore_atom(rel, atom, 3, &probe, cursor, &mut gaps, &mut stats)
-                }
-                StorageRef::Hybrid(rel) => {
-                    explore_atom(rel, atom, 3, &probe, cursor, &mut gaps, &mut stats)
-                }
-            };
-            is_output &= matched;
-        }
-        if is_output {
-            stats.outputs += 1;
-            cds.insert_constraint(&Constraint::point_exclusion(&probe), &mut pst);
-            tuples.push(probe.to_vec());
-        } else {
-            for c in &gaps {
-                cds.insert_constraint(c, &mut pst);
-            }
-        }
-    }
-    merge_probe_stats(&mut stats, &pst);
-    Ok(JoinResult { tuples, stats })
+    Ok(drain(&ProbeCtx {
+        db,
+        query: &query,
+        cds: CdsChoice::Triangle { b_domain },
+        inv: None,
+    }))
 }
 
 /// The `B` domain must cover every `B` value occurring in the data
@@ -94,8 +57,12 @@ mod tests {
     use super::*;
     use crate::minesweeper::minesweeper_join;
     use crate::naive::naive_join;
+    use crate::stream::ShardProbe;
     use minesweeper_cds::ProbeMode;
-    use minesweeper_storage::{builder, Database, Val};
+    use minesweeper_storage::{
+        builder, equi_depth_shards, nested_shards, second_level_profile, Database, ShardBounds,
+        ShardSpec, Tuple, Val, NEG_INF, POS_INF,
+    };
 
     fn triangle_db(edges: &[(Val, Val)]) -> (Database, RelId, RelId, RelId) {
         let mut db = Database::new();
@@ -103,6 +70,31 @@ mod tests {
         let s = db.add(builder::binary("S", edges.iter().copied())).unwrap();
         let t = db.add(builder::binary("T", edges.iter().copied())).unwrap();
         (db, r, s, t)
+    }
+
+    /// A fixed Chung–Lu power-law graph (γ = 2.3) over `0..n`: both
+    /// endpoints of each of `m` draws come from the weight distribution
+    /// `∝ (i+1)^(−1/(γ−1))`; self-loops are dropped.
+    fn chung_lu(n: usize, m: usize) -> Vec<(Val, Val)> {
+        let mut seed = 0x0c4e_6c75u64;
+        let mut unit = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let cumulative: Vec<f64> = (0..n)
+            .scan(0.0, |acc, i| {
+                *acc += ((i + 1) as f64).powf(-1.0 / 1.3);
+                Some(*acc)
+            })
+            .collect();
+        let total = cumulative[n - 1];
+        let mut vertex = move || cumulative.partition_point(|&c| c < unit() * total) as Val;
+        (0..m)
+            .map(|_| (vertex(), vertex()))
+            .filter(|(u, v)| u != v)
+            .collect()
     }
 
     #[test]
@@ -148,6 +140,82 @@ mod tests {
             assert_eq!(fast, brute);
             assert_eq!(generic, brute);
         }
+    }
+
+    #[test]
+    fn dyadic_arm_is_confined_by_shards_seeds_and_caps() {
+        let (db, r, s, t) = triangle_db(&chung_lu(300, 2_000));
+        let whole = triangle_join(&db, r, s, t).unwrap().tuples;
+        assert!(whole.len() > 20, "the graph must have triangles to split");
+        let query = triangle_query(r, s, t);
+        let ctx = ProbeCtx {
+            db: &db,
+            query: &query,
+            cds: CdsChoice::Triangle {
+                b_domain: b_domain_bound(db.relation(r), db.relation(s)),
+            },
+            inv: None,
+        };
+        let open =
+            |spec, seeds: &[(usize, Val)], cap| ShardProbe::open(&ctx, spec, seeds, cap, None);
+        let all =
+            |mut p: ShardProbe<'_>| -> Vec<Tuple> { std::iter::from_fn(|| p.next()).collect() };
+
+        // Shards: an equi-depth split of A, and a nested split of the
+        // heaviest A value on B, each concatenated in spec order.
+        let rel = db.relation(r);
+        let weights = rel.first_level_tuple_counts();
+        let equi_depth: Vec<ShardSpec> = equi_depth_shards(rel.first_column(), &weights, 6)
+            .into_iter()
+            .map(ShardSpec::plain)
+            .collect();
+        let heavy = (0..weights.len()).max_by_key(|&i| weights[i]).unwrap();
+        let v = rel.first_column()[heavy];
+        let (child_vals, child_weights) = second_level_profile(rel, v);
+        let slices = nested_shards(ShardBounds { lo: v, hi: v }, &child_vals, &child_weights, 4);
+        assert!(slices.len() > 1 && slices.iter().all(|s| s.is_nested()));
+        let nested: Vec<ShardSpec> = std::iter::once(ShardSpec::plain(ShardBounds {
+            lo: NEG_INF,
+            hi: v - 1,
+        }))
+        .chain(slices)
+        .chain(std::iter::once(ShardSpec::plain(ShardBounds {
+            lo: v + 1,
+            hi: POS_INF,
+        })))
+        .collect();
+        for specs in [equi_depth, nested] {
+            assert!(specs.len() > 1);
+            let joined: Vec<Tuple> = specs
+                .iter()
+                .flat_map(|&spec| all(open(spec, &[], usize::MAX)))
+                .collect();
+            assert_eq!(joined, whole, "specs {specs:?}");
+        }
+
+        // Seeds: pinning one attribute yields exactly the tuples holding
+        // that value there — `⟨⟩`, `⟨*⟩` and `⟨*,*⟩` seed shapes alike.
+        let pivot = whole[whole.len() / 2].clone();
+        for (k, &val) in pivot.iter().enumerate() {
+            let want: Vec<Tuple> = whole.iter().filter(|u| u[k] == val).cloned().collect();
+            assert_eq!(
+                all(open(ShardSpec::unbounded(), &[(k, val)], usize::MAX)),
+                want
+            );
+        }
+
+        // Caps: the first k tuples, one evidence tuple, counters frozen at
+        // the cap.
+        let k = whole.len() / 3;
+        let mut capped = open(ShardSpec::unbounded(), &[], k);
+        let prefix: Vec<Tuple> = std::iter::from_fn(|| capped.next()).collect();
+        assert_eq!(prefix, whole[..k]);
+        let at_cap = capped.stats();
+        assert_eq!(at_cap.outputs, k as u64);
+        assert_eq!(capped.evidence().as_ref(), Some(&whole[k]));
+        assert_eq!(capped.evidence(), None, "the evidence is one-shot");
+        assert_eq!(capped.stats(), at_cap);
+        assert!(!capped.into_shard_stats().completed);
     }
 
     #[test]

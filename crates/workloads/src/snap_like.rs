@@ -3,12 +3,11 @@
 //! The paper evaluates on `com-Orkut` (3.07M nodes / 117M edges),
 //! `soc-Epinions1` (76K / 509K) and `soc-LiveJournal1` (4.8M / 69M) from
 //! <http://snap.stanford.edu/data/>. Those graphs are not available
-//! offline, so — per the substitution rule in DESIGN.md — we generate
-//! Chung–Lu power-law graphs with the same node:edge *ratio*, scaled down
-//! by a configurable factor. What Figure 2 measures (certificate size vs
-//! input size under gap-skipping joins) depends on the sortedness/skew
-//! structure that power-law graphs reproduce, not on the identity of the
-//! exact SNAP edges.
+//! offline, so we generate Chung–Lu power-law graphs with the same
+//! node:edge *ratio*, scaled down by a configurable factor. What Figure 2
+//! measures (certificate size vs input size under gap-skipping joins)
+//! depends on the sortedness/skew structure that power-law graphs
+//! reproduce, not on the identity of the exact SNAP edges.
 
 use minesweeper_storage::Val;
 

@@ -142,8 +142,8 @@ pub mod prelude {
     pub use minesweeper_baselines::{algorithm_names, algorithms, lookup, lookup_configured};
     pub use minesweeper_cds::{Constraint, ConstraintTree, IntervalSet, Pattern, ProbeMode};
     pub use minesweeper_core::{
-        bowtie_join, canonical_certificate_size, choose_gao, execute, minesweeper_join, naive_join,
-        plan, reindex_for_gao, set_intersection, triangle_join, Algorithm, ExecStream, Execution,
+        canonical_certificate_size, choose_gao, execute, minesweeper_join, naive_join, plan,
+        reindex_for_gao, set_intersection, triangle_join, Algorithm, ExecStream, Execution,
         ExplainPlan, JoinResult, Plan, PreparedExec, Query, Run, ShardStats,
     };
     pub use minesweeper_storage::{

@@ -1,5 +1,6 @@
 //! Property-based tests: randomized databases and constraint streams,
-//! checked against models and the naive join.
+//! checked against models and the naive join; and hostile input lines,
+//! which no parser may panic on.
 
 use proptest::prelude::*;
 
@@ -10,7 +11,10 @@ use minesweeper_join::cds::{
 use minesweeper_join::core::{
     minesweeper_join, naive_join, reindex_for_gao, set_intersection, triangle_join, Query,
 };
+use minesweeper_join::durability::record::{fnv64, parse_record, unescape_cell};
+use minesweeper_join::server::protocol::{parse_request, parse_response_line};
 use minesweeper_join::storage::{builder, Database, TrieRelation, Val};
+use minesweeper_join::text::{parse_query_ast, parse_relation, parse_typed_relation};
 
 fn pairs_strategy(max_len: usize, dom: Val) -> impl Strategy<Value = Vec<(Val, Val)>> {
     prop::collection::vec((0..dom, 0..dom), 0..max_len)
@@ -269,5 +273,51 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Words a hostile client or a damaged data directory can put on a line,
+/// space-separated: request, response and WAL verbs, option keys, integers
+/// at and past the 64-bit limits, `%` escapes (valid, truncated, non-hex,
+/// non-UTF-8), query punctuation, comment and NUL characters, multibyte
+/// text.
+const HOSTILE: &str = "Q PREPARE EXEC UNPREPARE W INSERT DELETE COMPACT CHECKPOINT BATCH \
+    PING STATS QUIT OK ERR PROTO I D * ; -- | algo= algo=leapfrog threads= limit= timeout= \
+    explain explain=json = 18446744073709551616 18446744073709551615 9223372036854775808 \
+    -9223372036854775809 -9223372036854775808 0 -1 +7 1e3 % %- %2 %25 %zz %ff %e2%82 \
+    %e2%8b%88 %20%3b R x ( ) , \" \"nyc ⋈ é 🦀 \u{0} #";
+
+/// What goes between two hostile words.
+const SEPARATORS: &[&str] = &[" ", " ", "", "\t", "  ", "\r\n", "\n"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The seven parsers reachable from the wire or a data directory
+    /// return their error value on hostile input and never panic. Half of
+    /// the WAL lines carry a valid checksum and a `W <lsn>` head, so the
+    /// record grammar past the checksum is reached too.
+    #[test]
+    fn hostile_input_never_panics(
+        words in prop::collection::vec(
+            (0..HOSTILE.split(' ').count(), 0..SEPARATORS.len()),
+            0..16
+        ),
+        wal_shaped in prop::bool::ANY,
+    ) {
+        let vocabulary: Vec<&str> = HOSTILE.split(' ').collect();
+        let line: String = words
+            .iter()
+            .flat_map(|&(w, sep)| [vocabulary[w], SEPARATORS[sep]])
+            .collect();
+        let _ = parse_request(&line);
+        let _ = parse_response_line(&line);
+        let _ = unescape_cell(&line);
+        let _ = parse_query_ast(&line);
+        let _ = parse_relation("R", &line);
+        let _ = parse_typed_relation("R", &line);
+        let _ = parse_record(&line);
+        let body = if wal_shaped { format!("W 7 {line}") } else { line };
+        let _ = parse_record(&format!("{:016x} {body}", fnv64(body.as_bytes())));
     }
 }
