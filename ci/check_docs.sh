@@ -29,6 +29,9 @@
 #   9. markdown files named in Rust sources: every `NAME.md` a tracked
 #      `.rs` file mentions exists, at the repository root or in the
 #      file's own directory or one above it.
+#  10. the gate's stated size: ci/README.md's "N counters from M
+#      binaries" matches the keys of ci/bench_baseline.json and the
+#      binaries of ci/bench_manifest.txt.
 #
 # Usage: ci/check_docs.sh [FILE.md ...]   (defaults to docs/*.md,
 # README.md, and ci/README.md, run from the repository root; the
@@ -221,6 +224,16 @@ while IFS=: read -r rs line md; do
     echo "ERROR: $rs:$line names $md, which does not exist"
     fail=1
 done < <(git grep -noE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b' -- '*.rs')
+
+# 10. The gate's size as ci/README.md states it.
+baseline=ci/bench_baseline.json
+stated=$(grep -oE '[0-9]+ counters from [0-9]+ binaries' ci/README.md || true)
+keys=$(grep -cE '^[[:space:]]*"[^"]+":' "$baseline" || true)
+bins=$(grep -c . <<<"$in_manifest" || true)
+if [ "$stated" != "$keys counters from $bins binaries" ]; then
+    echo "ERROR: ci/README.md states \"${stated:-no gate size}\"; $baseline holds $keys counters from $bins binaries"
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "doc check: FAILED"

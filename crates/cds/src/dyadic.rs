@@ -142,43 +142,6 @@ impl DyadicIntervalTree {
         }
     }
 
-    /// Verifies invariant (7) at every allocated internal node over the
-    /// given `C`-window (test helper; cost is linear in tree size ×
-    /// window).
-    pub fn check_invariant(&self, c_lo: Val, c_hi: Val) -> bool {
-        for (&(level, idx), set) in &self.nodes {
-            if level == self.bits {
-                continue;
-            }
-            let l = self.nodes.get(&(level + 1, idx * 2));
-            let r = self.nodes.get(&(level + 1, idx * 2 + 1));
-            for c in c_lo..=c_hi {
-                let both = l.is_some_and(|s| s.covers(c)) && r.is_some_and(|s| s.covers(c));
-                if set.covers(c) != both {
-                    return false;
-                }
-            }
-        }
-        // Also: unallocated internal nodes must genuinely cover nothing,
-        // i.e. no pair of allocated children may jointly cover a value.
-        for (&(level, idx), set) in &self.nodes {
-            if level == 0 || set.is_empty() {
-                continue;
-            }
-            let parent = (level - 1, idx >> 1);
-            if self.nodes.contains_key(&parent) {
-                continue;
-            }
-            let sib = self.nodes.get(&(level, idx ^ 1));
-            for c in c_lo..=c_hi {
-                if set.covers(c) && sib.is_some_and(|s| s.covers(c)) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Number of allocated nodes (diagnostics).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -188,6 +151,45 @@ impl DyadicIntervalTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DyadicIntervalTree {
+        /// Verifies invariant (7) at every allocated internal node over the
+        /// given `C`-window (test helper; cost is linear in tree size ×
+        /// window).
+        fn check_invariant(&self, c_lo: Val, c_hi: Val) -> bool {
+            for (&(level, idx), set) in &self.nodes {
+                if level == self.bits {
+                    continue;
+                }
+                let l = self.nodes.get(&(level + 1, idx * 2));
+                let r = self.nodes.get(&(level + 1, idx * 2 + 1));
+                for c in c_lo..=c_hi {
+                    let both = l.is_some_and(|s| s.covers(c)) && r.is_some_and(|s| s.covers(c));
+                    if set.covers(c) != both {
+                        return false;
+                    }
+                }
+            }
+            // Also: unallocated internal nodes must genuinely cover nothing,
+            // i.e. no pair of allocated children may jointly cover a value.
+            for (&(level, idx), set) in &self.nodes {
+                if level == 0 || set.is_empty() {
+                    continue;
+                }
+                let parent = (level - 1, idx >> 1);
+                if self.nodes.contains_key(&parent) {
+                    continue;
+                }
+                let sib = self.nodes.get(&(level, idx ^ 1));
+                for c in c_lo..=c_hi {
+                    if set.covers(c) && sib.is_some_and(|s| s.covers(c)) {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+    }
 
     #[test]
     fn geometry() {

@@ -2,7 +2,7 @@
 //!
 //! A sorted dictionary keyed by domain values, carrying an arbitrary payload
 //! per key (the `ConstraintTree` stores child-node handles). Supports the
-//! five operations of Prop E.2 — `Find`, `FindLub`, `insert`, `Delete`,
+//! operations of Prop E.2 that the CDS uses — `Find`, `insert`, `Delete`,
 //! `DeleteInterval` — each in `O(log N)` (amortized for `DeleteInterval`,
 //! whose cost is charged to the earlier insertions of the deleted keys).
 
@@ -37,11 +37,6 @@ impl<T> SortedList<T> {
     /// `Find(v)`: payload stored under `v`, if any.
     pub fn find(&self, v: Val) -> Option<&T> {
         self.map.get(&v)
-    }
-
-    /// `FindLub(v)`: the smallest key `v' ≥ v`, with its payload.
-    pub fn find_lub(&self, v: Val) -> Option<(Val, &T)> {
-        self.map.range(v..).next().map(|(&k, t)| (k, t))
     }
 
     /// `insert(v)`: stores `payload` under `v`, returning the previous
@@ -88,16 +83,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn find_and_lub() {
+    fn find_by_key() {
         let mut l = SortedList::new();
         l.insert(5, "five");
         l.insert(9, "nine");
         l.insert(2, "two");
         assert_eq!(l.find(5), Some(&"five"));
         assert_eq!(l.find(4), None);
-        assert_eq!(l.find_lub(3), Some((5, &"five")));
-        assert_eq!(l.find_lub(5), Some((5, &"five")));
-        assert_eq!(l.find_lub(10), None);
         assert_eq!(l.len(), 3);
     }
 

@@ -1,113 +1,25 @@
 //! Certificates (Section 2.2, Appendix B).
 //!
-//! An [`Argument`] is a set of symbolic comparisons `R[x] θ S[y]` between
+//! An *argument* is a set of symbolic comparisons `R[x] θ S[y]` between
 //! index-tuple variables (Definition 2.2); a *certificate* is an argument
 //! that pins down the witnesses of the join across all instances that
 //! satisfy it (Definition 2.3). Deciding whether an argument is a
-//! certificate is semantic; what the library provides is
-//!
-//! * variable resolution and argument evaluation against a concrete
-//!   database (used to replay the paper's Examples B.1–B.4), and
-//! * [`canonical_certificate_size`] — the Proposition 2.6 construction
-//!   bounding the optimal certificate by `r · N` comparisons, evaluated
-//!   exactly on an instance (per attribute: equality chains within equal
-//!   values plus one inequality chain across distinct values).
+//! certificate is semantic, so what the library computes is
+//! [`canonical_certificate_size`] — the Proposition 2.6 construction
+//! bounding the optimal certificate by `r · N` comparisons, evaluated
+//! exactly on an instance (per attribute: equality chains within equal
+//! values plus one inequality chain across distinct values). The unit
+//! tests evaluate arguments against concrete databases to replay the
+//! paper's Examples B.1, B.2 and 2.4.
 //!
 //! The *measured* certificate proxy used in the paper's experiments
 //! (Figure 2) is the `FindGap` count reported in
 //! [`minesweeper_storage::ExecStats`].
 
-use minesweeper_storage::{Database, NodeId, RelId, TrieRelation, Val};
+use minesweeper_storage::{Database, Val};
 use std::collections::BTreeMap;
 
 use crate::query::{Query, QueryError};
-
-/// A variable `R[x]`: a relation and a (1-based) index tuple.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct VarRef {
-    /// The relation.
-    pub rel: RelId,
-    /// 1-based coordinates, length `1..=arity`.
-    pub index: Vec<usize>,
-}
-
-impl VarRef {
-    /// Convenience constructor.
-    pub fn new(rel: RelId, index: &[usize]) -> Self {
-        VarRef {
-            rel,
-            index: index.to_vec(),
-        }
-    }
-
-    /// Resolves the variable against a database: walks the trie by
-    /// coordinates. Returns `None` when a coordinate is out of range (the
-    /// variable does not exist in this instance — cf. Example 2.4, where
-    /// `I(N+1)` defines variables `I(N)` does not).
-    pub fn resolve(&self, db: &Database) -> Option<Val> {
-        let rel = db.relation(self.rel);
-        resolve_in(rel, &self.index)
-    }
-}
-
-fn resolve_in(rel: &TrieRelation, index: &[usize]) -> Option<Val> {
-    if index.is_empty() || index.len() > rel.arity() {
-        return None;
-    }
-    let mut node: NodeId = rel.root();
-    for &coord in index {
-        if coord < 1 || coord > rel.child_count(node) {
-            return None;
-        }
-        node = rel.child(node, coord);
-    }
-    Some(rel.value(node))
-}
-
-/// One symbolic comparison of the form (3): `lhs θ rhs`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Comparison {
-    /// `lhs < rhs`.
-    Lt(VarRef, VarRef),
-    /// `lhs = rhs`.
-    Eq(VarRef, VarRef),
-    /// `lhs > rhs`.
-    Gt(VarRef, VarRef),
-}
-
-impl Comparison {
-    /// Evaluates against a database; `None` when either variable does not
-    /// exist in the instance.
-    pub fn holds(&self, db: &Database) -> Option<bool> {
-        let (l, r, f): (&VarRef, &VarRef, fn(Val, Val) -> bool) = match self {
-            Comparison::Lt(l, r) => (l, r, |a, b| a < b),
-            Comparison::Eq(l, r) => (l, r, |a, b| a == b),
-            Comparison::Gt(l, r) => (l, r, |a, b| a > b),
-        };
-        Some(f(l.resolve(db)?, r.resolve(db)?))
-    }
-}
-
-/// A set of comparisons (Definition 2.2).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Argument(pub Vec<Comparison>);
-
-impl Argument {
-    /// Number of comparisons — the argument's size.
-    pub fn size(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Does the database instance satisfy every comparison? `None` when
-    /// some comparison refers to a variable the instance does not define.
-    pub fn satisfied_by(&self, db: &Database) -> Option<bool> {
-        let mut all = true;
-        for c in &self.0 {
-            all &= c.holds(db)?;
-        }
-        Some(all)
-    }
-}
 
 /// The Proposition 2.6 canonical certificate size for an instance: for each
 /// GAO attribute, every trie node carrying a value of that attribute is a
@@ -150,8 +62,77 @@ pub fn canonical_certificate_size(db: &Database, query: &Query) -> Result<u64, Q
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Query;
-    use minesweeper_storage::{builder, Database};
+    use minesweeper_storage::{builder, NodeId, RelId};
+
+    /// A variable `R[x]`: a relation and a (1-based) index tuple.
+    struct VarRef {
+        rel: RelId,
+        index: Vec<usize>,
+    }
+
+    impl VarRef {
+        fn new(rel: RelId, index: &[usize]) -> Self {
+            VarRef {
+                rel,
+                index: index.to_vec(),
+            }
+        }
+
+        /// Walks the trie by coordinates. `None` when a coordinate is out
+        /// of range (the variable does not exist in this instance — cf.
+        /// Example 2.4, where `I(N+1)` defines variables `I(N)` does not).
+        fn resolve(&self, db: &Database) -> Option<Val> {
+            let rel = db.relation(self.rel);
+            if self.index.is_empty() || self.index.len() > rel.arity() {
+                return None;
+            }
+            let mut node: NodeId = rel.root();
+            for &coord in &self.index {
+                if coord < 1 || coord > rel.child_count(node) {
+                    return None;
+                }
+                node = rel.child(node, coord);
+            }
+            Some(rel.value(node))
+        }
+    }
+
+    /// One symbolic comparison of the form (3): `lhs θ rhs`.
+    enum Comparison {
+        Lt(VarRef, VarRef),
+        Eq(VarRef, VarRef),
+        Gt(VarRef, VarRef),
+    }
+
+    impl Comparison {
+        fn holds(&self, db: &Database) -> Option<bool> {
+            let (l, r, f): (&VarRef, &VarRef, fn(Val, Val) -> bool) = match self {
+                Comparison::Lt(l, r) => (l, r, |a, b| a < b),
+                Comparison::Eq(l, r) => (l, r, |a, b| a == b),
+                Comparison::Gt(l, r) => (l, r, |a, b| a > b),
+            };
+            Some(f(l.resolve(db)?, r.resolve(db)?))
+        }
+    }
+
+    /// A set of comparisons (Definition 2.2).
+    struct Argument(Vec<Comparison>);
+
+    impl Argument {
+        fn size(&self) -> usize {
+            self.0.len()
+        }
+
+        /// Does the instance satisfy every comparison? `None` when some
+        /// comparison refers to a variable the instance does not define.
+        fn satisfied_by(&self, db: &Database) -> Option<bool> {
+            let mut all = true;
+            for c in &self.0 {
+                all &= c.holds(db)?;
+            }
+            Some(all)
+        }
+    }
 
     /// Example B.1: R = [N], S = {(N+1, i+N)}; the argument
     /// {R[N] < S\[1\]} is satisfied and certifies emptiness.

@@ -43,8 +43,8 @@
 //!   elimination order when β-acyclic, minimum elimination width
 //!   otherwise) and physical re-indexing;
 //! * [`naive_join`] — nested-loop ground truth for testing;
-//! * [`certificate`] — the certificate formalism of Section 2.2 with the
-//!   Proposition 2.6 upper-bound construction.
+//! * [`canonical_certificate_size`] — Proposition 2.6's upper bound on an
+//!   instance's certificate size (Section 2.2).
 
 #![warn(missing_docs)]
 
@@ -55,7 +55,6 @@ pub mod explain;
 pub mod gao;
 pub mod minesweeper;
 pub mod naive;
-pub mod partition;
 pub mod plan;
 pub mod query;
 pub mod set_intersection;
@@ -64,7 +63,7 @@ pub mod stream;
 pub mod triangle;
 
 pub use algorithm::{Algorithm, Minesweeper, MinesweeperPar, Naive};
-pub use certificate::{canonical_certificate_size, Argument, Comparison, VarRef};
+pub use certificate::canonical_certificate_size;
 pub use execute::{execute, ExecStream, Execution, Run};
 pub use explain::{
     json_string, ExplainAtom, ExplainCache, ExplainPlan, ExplainShards, ExplainStorage,
@@ -72,7 +71,6 @@ pub use explain::{
 pub use gao::{choose_gao, private_attributes_last, reindex_for_gao, GaoChoice};
 pub use minesweeper::{minesweeper_join, JoinResult};
 pub use naive::naive_join;
-pub use partition::{partition_certificate, PartitionCertificate, PartitionItem};
 pub use plan::{plan, Plan, PreparedExec};
 pub use query::{Atom, Query, QueryError};
 pub use set_intersection::set_intersection;

@@ -27,8 +27,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{
-    self, load_latest, min_pinned_segment, prune_checkpoints, write_checkpoint, Manifest,
-    RelationDump,
+    load_latest, min_pinned_segment, prune_checkpoints, write_checkpoint, Manifest, RelationDump,
 };
 use crate::record::{SequencedRecord, WalRecord};
 use crate::wal::{self, read_tail, truncate_to, FsyncPolicy, Wal, WalPosition};
@@ -267,19 +266,9 @@ impl DurableStore {
         self.options
     }
 
-    /// The checkpoint directory root (diagnostics/tests).
-    pub fn checkpoint_root(&self) -> &Path {
-        &self.ckpt_root
-    }
-
     /// The WAL directory (diagnostics/tests).
     pub fn wal_dir(&self) -> &Path {
         &self.wal_dir
-    }
-
-    /// Checkpoint ids currently retained on disk.
-    pub fn checkpoint_ids(&self) -> Result<Vec<u64>, DurabilityError> {
-        Ok(checkpoint::list_checkpoints(&self.ckpt_root)?)
     }
 }
 
@@ -287,6 +276,13 @@ impl DurableStore {
 mod tests {
     use super::*;
     use crate::record::{Batch, CellOp};
+
+    impl DurableStore {
+        /// Checkpoint ids currently retained on disk.
+        fn checkpoint_ids(&self) -> Result<Vec<u64>, DurabilityError> {
+            Ok(crate::checkpoint::list_checkpoints(&self.ckpt_root)?)
+        }
+    }
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("msj-store-test-{}-{tag}", std::process::id()));

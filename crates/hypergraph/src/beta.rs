@@ -10,16 +10,6 @@
 
 use crate::hypergraph::Hypergraph;
 
-/// The nest points of `h` restricted to vertices that occur in some edge: a
-/// vertex `v` is a nest point when `{F ∈ E : v ∈ F}` is a chain under `⊆`.
-pub fn nest_points(h: &Hypergraph) -> Vec<usize> {
-    let covered = h.covered_vertices();
-    covered
-        .into_iter()
-        .filter(|&v| is_nest_point(h, v))
-        .collect()
-}
-
 fn is_nest_point(h: &Hypergraph, v: usize) -> bool {
     let incident = h.edges_containing(v);
     let mut sets: Vec<_> = incident.iter().map(|&i| h.edge(i)).collect();
@@ -193,6 +183,16 @@ fn revalidate(h: &Hypergraph, edges: &[usize], verts: &[usize]) -> bool {
 mod tests {
     use super::*;
     use crate::hypergraph::fixtures::*;
+
+    /// The nest points of `h` restricted to vertices that occur in some edge: a
+    /// vertex `v` is a nest point when `{F ∈ E : v ∈ F}` is a chain under `⊆`.
+    fn nest_points(h: &Hypergraph) -> Vec<usize> {
+        let covered = h.covered_vertices();
+        covered
+            .into_iter()
+            .filter(|&v| is_nest_point(h, v))
+            .collect()
+    }
 
     #[test]
     fn triangle_is_beta_cyclic_with_witness() {

@@ -18,13 +18,11 @@
 pub mod beta;
 pub mod elimination;
 pub mod gyo;
-pub mod hierarchy;
 pub mod hypergraph;
 pub mod treewidth;
 
-pub use beta::{find_beta_cycle, is_beta_acyclic, nest_points, nested_elimination_order};
+pub use beta::{find_beta_cycle, is_beta_acyclic, nested_elimination_order};
 pub use elimination::{elimination_width, is_nested_elimination_order, prefix_posets, PrefixPoset};
 pub use gyo::{gyo_reduce, is_alpha_acyclic, join_tree, JoinTree};
-pub use hierarchy::{find_gamma_cycle, is_berge_acyclic, is_gamma_acyclic};
 pub use hypergraph::Hypergraph;
 pub use treewidth::{induced_width_of_order, min_width_order, treewidth_exact, treewidth_upper};

@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 
 use minesweeper_hypergraph::{
-    elimination_width, find_beta_cycle, induced_width_of_order, is_alpha_acyclic, is_berge_acyclic,
-    is_beta_acyclic, is_gamma_acyclic, is_nested_elimination_order, min_width_order,
-    nested_elimination_order, treewidth_exact, Hypergraph,
+    elimination_width, find_beta_cycle, induced_width_of_order, is_alpha_acyclic, is_beta_acyclic,
+    is_nested_elimination_order, min_width_order, nested_elimination_order, treewidth_exact,
+    Hypergraph,
 };
 
 /// Random hypergraph with up to 5 vertices and 5 edges (small enough for
@@ -36,20 +36,6 @@ proptest! {
         prop_assert_eq!(neo.is_some(), cycle.is_none(), "{:?}", h);
         if let Some(order) = neo {
             prop_assert!(is_nested_elimination_order(&h, &order));
-        }
-    }
-
-    /// The acyclicity hierarchy: Berge ⇒ γ ⇒ β ⇒ α.
-    #[test]
-    fn hierarchy_implications(h in hypergraph_strategy()) {
-        if is_berge_acyclic(&h) {
-            prop_assert!(is_gamma_acyclic(&h), "Berge ⇒ γ: {:?}", h);
-        }
-        if is_gamma_acyclic(&h) {
-            prop_assert!(is_beta_acyclic(&h), "γ ⇒ β: {:?}", h);
-        }
-        if is_beta_acyclic(&h) {
-            prop_assert!(is_alpha_acyclic(&h), "β ⇒ α: {:?}", h);
         }
     }
 

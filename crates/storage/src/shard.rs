@@ -62,11 +62,6 @@ impl ShardBounds {
     pub fn contains(&self, v: Val) -> bool {
         self.lo <= v && v <= self.hi
     }
-
-    /// True when the interval holds exactly one value.
-    pub fn is_single_value(&self) -> bool {
-        self.lo == self.hi
-    }
 }
 
 impl std::fmt::Display for ShardBounds {
@@ -300,10 +295,7 @@ mod tests {
             .iter()
             .find(|s| s.contains(2))
             .expect("heavy value covered");
-        assert!(
-            own.is_single_value(),
-            "heavy value must sit alone, got {own}"
-        );
+        assert!(own.lo == own.hi, "heavy value must sit alone, got {own}");
         for s in &shards {
             assert!(
                 values.iter().any(|&v| s.contains(v)),

@@ -77,7 +77,7 @@
 use std::process::ExitCode;
 
 use std::fmt::Display;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -126,6 +126,17 @@ fn engine_failure(e: &EngineError) -> ExitCode {
 fn failure(context: impl Display, e: impl Display) -> ExitCode {
     eprintln!("{context}: {e}");
     ExitCode::FAILURE
+}
+
+/// Ends a run's stdout: flushes what is still buffered, unless a write
+/// already failed (`BufWriter`'s drop would discard the flush error). A
+/// reader that went away (`msj … | head`) is a quiet success; any other
+/// write error is exit 1.
+fn finish_stdout(out: &mut impl Write, write_error: Option<io::Error>) -> Result<(), ExitCode> {
+    match write_error.map_or_else(|| out.flush(), Err) {
+        Err(e) if !render::is_disconnect(&e) => Err(failure("write error", e)),
+        _ => Ok(()),
+    }
 }
 
 fn print_stats(stats: &ExecStats) {
@@ -479,12 +490,9 @@ fn client_main(mut flags: Flags) -> Result<ExitCode, ExitCode> {
         let reply = client.request(&line).map_err(|e| failure(addr, e))?;
         match reply {
             Reply::Ok { body, .. } => {
-                if out
-                    .write_all(body.as_bytes())
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
+                if let Err(e) = out.write_all(body.as_bytes()).and_then(|()| out.flush()) {
                     // stdout consumer gone (e.g. `… | head`): stop quietly.
+                    finish_stdout(&mut out, Some(e))?;
                     return Ok(ExitCode::SUCCESS);
                 }
             }
@@ -571,18 +579,18 @@ fn query_main(mut flags: Flags) -> Result<ExitCode, ExitCode> {
     let kind = stmt.dispatch_kind(&opts).map_err(|e| engine_failure(&e))?;
 
     // Buffered, checked stdout: a consumer closing the pipe (`msj … |
-    // head`) stops a streaming run quietly instead of panicking. The
-    // body bytes come from the shared renderer — the same one `msj
-    // serve` streams to sockets, which is what makes the service's
-    // byte-identity contract hold by construction.
+    // head`) stops a streaming run quietly instead of panicking, and any
+    // other write error is exit 1. The body bytes come from the shared
+    // renderer — the same one `msj serve` streams to sockets, which is
+    // what makes the service's byte-identity contract hold by
+    // construction.
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
 
     if explain || explain_json {
-        return match render::write_explain(&mut out, &stmt, &opts, explain_json) {
-            Ok(_connected) => Ok(ExitCode::SUCCESS),
-            Err(e) => Err(engine_failure(&e)),
-        };
+        let write_error = render::write_explain(&mut out, &stmt, &opts, explain_json)
+            .map_err(|e| engine_failure(&e))?;
+        return finish_stdout(&mut out, write_error).map(|()| ExitCode::SUCCESS);
     }
 
     if let (DispatchKind::Parallel(_), Some(k)) = (&kind, opts.limit) {
@@ -594,7 +602,7 @@ fn query_main(mut flags: Flags) -> Result<ExitCode, ExitCode> {
     }
 
     let outcome = render::write_body(&mut out, &stmt, &opts).map_err(|e| engine_failure(&e))?;
-    drop(out);
+    finish_stdout(&mut out, outcome.write_error)?;
     if show_stats {
         match &kind {
             DispatchKind::Baseline(name) => {

@@ -168,11 +168,6 @@ impl Engine {
         Ok(())
     }
 
-    /// True when this engine logs to a data directory.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// The durability counters `STATS` reports; `None` on an in-memory
     /// engine.
     pub fn durability_stats(&self) -> Option<DurabilityCounters> {

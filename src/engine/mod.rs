@@ -291,12 +291,6 @@ impl ExecOptions {
         self.collect_stats = true;
         self
     }
-
-    /// Sets the execution deadline.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
 }
 
 /// The engine front door (see the module docs). Loading relations takes

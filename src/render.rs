@@ -28,11 +28,13 @@
 //! from a registry baseline, which ran to completion and knows the exact
 //! remainder.
 //!
-//! Writes are checked: a consumer that goes away (a closed pipe, a
-//! disconnected client) surfaces as an [`io::Error`], upon which the
-//! open stream is dropped — which *cancels* queued and in-flight shard
-//! work — and the outcome reports [`BodyOutcome::disconnected`] instead
-//! of treating the lost consumer as a failure.
+//! Writes are checked: the first failed write stops the body, the open
+//! stream is dropped — which *cancels* queued and in-flight shard work —
+//! and the outcome carries the error in [`BodyOutcome::write_error`]
+//! instead of returning it. The caller decides what it means:
+//! [`is_disconnect`] tells a consumer that went away (a closed pipe, a
+//! disconnected client: stop quietly) from a real failure (a full disk
+//! behind stdout: report it).
 
 use std::io::{self, Write};
 
@@ -43,17 +45,17 @@ use minesweeper_storage::ExecStats;
 use crate::engine::catalog::cell_texts;
 use crate::engine::{DispatchKind, EngineError, ExecOptions, PreparedStatement, Remainder};
 
-/// What [`write_body`] did: how many data rows went out, whether the
-/// consumer disconnected mid-stream (the body is then a prefix), and the
-/// execution counters for the work actually performed.
+/// What [`write_body`] did: how many data rows went out, whether a write
+/// failed mid-stream (the body is then a prefix), and the execution
+/// counters for the work actually performed.
 #[derive(Debug)]
 pub struct BodyOutcome {
     /// Data rows written (header and marker lines not counted).
     pub rows: usize,
-    /// True when a write failed: the consumer is gone and any remaining
-    /// stream work was cancelled. Callers treat this as "stop quietly",
-    /// not as an error.
-    pub disconnected: bool,
+    /// The first failed write, after which nothing more was written and
+    /// any remaining stream work was cancelled. [`is_disconnect`] says
+    /// whether it means "the consumer is gone".
+    pub write_error: Option<io::Error>,
     /// Counters for the work performed (the shown prefix under a limit).
     pub stats: ExecStats,
     /// Per-shard counters, when the parallel engine ran.
@@ -68,8 +70,8 @@ pub struct BodyOutcome {
 }
 
 /// Writes the full result body for `stmt` under `opts` (see the module
-/// docs). Execution errors are returned; consumer disconnects are
-/// reported in the outcome.
+/// docs). Execution errors are returned; write errors are reported in
+/// the outcome.
 pub fn write_body(
     out: &mut impl Write,
     stmt: &PreparedStatement,
@@ -78,7 +80,7 @@ pub fn write_body(
     let mut stream = stmt.open(opts, opts.limit.is_none())?;
     let mut w = CheckedWriter::new(out);
     w.line(format_args!("# {}", stmt.columns().join("\t")));
-    while !w.disconnected {
+    while w.error.is_none() {
         let Some(row) = stream.next() else { break };
         w.data_line(format_args!("{}", cell_texts(&row).join("\t")));
     }
@@ -86,7 +88,7 @@ pub fn write_body(
     // marker (the body is not a truthful `limit` cut), just a prefix the
     // session terminates with `ERR DEADLINE`.
     let deadline_exceeded = stream.deadline_expired();
-    if !w.disconnected && !deadline_exceeded {
+    if w.error.is_none() && !deadline_exceeded {
         let shown = w.rows;
         match stream.remainder() {
             Remainder::None => {}
@@ -95,13 +97,13 @@ pub fn write_body(
         }
     }
     // Ends the run (cancelling and joining any shard workers still
-    // outstanding — the disconnect and deadline paths), so the counters
+    // outstanding — the write-error and deadline paths), so the counters
     // are final: the work actually performed, the truncation probe
     // excluded.
     let (stats, shards) = stream.finish();
     Ok(BodyOutcome {
         rows: w.rows,
-        disconnected: w.disconnected,
+        write_error: w.error,
         stats,
         shards,
         deadline_exceeded,
@@ -110,14 +112,14 @@ pub fn write_body(
 
 /// Writes the explain output for `stmt` under `opts` — the `--explain`
 /// / `--explain-json` stdout shape, shared by the CLI and the service's
-/// `explain` request option. Returns whether the consumer stayed
-/// connected.
+/// `explain` request option. Returns the first failed write, if any (see
+/// [`BodyOutcome::write_error`]).
 pub fn write_explain(
     out: &mut impl Write,
     stmt: &PreparedStatement,
     opts: &ExecOptions,
     json: bool,
-) -> Result<bool, EngineError> {
+) -> Result<Option<io::Error>, EngineError> {
     let mut w = CheckedWriter::new(out);
     if let DispatchKind::Baseline(name) = stmt.dispatch_kind(opts)? {
         // Baselines have no Minesweeper plan: say so rather than
@@ -140,7 +142,7 @@ pub fn write_explain(
                  specific to the default engine)"
             ));
         }
-        return Ok(!w.disconnected);
+        return Ok(w.error);
     }
     let ep = stmt.explain(opts)?;
     if json {
@@ -148,16 +150,16 @@ pub fn write_explain(
     } else {
         w.line(format_args!("{}", ep.render()));
     }
-    Ok(!w.disconnected)
+    Ok(w.error)
 }
 
 /// A line writer that records the first failed write instead of
-/// propagating it: once the consumer is gone every further write is
-/// skipped, and the caller reads `disconnected` to stop quietly.
+/// propagating it: after it every further write is skipped, and the
+/// caller reads `error` to stop.
 struct CheckedWriter<'w, W: Write> {
     out: &'w mut W,
     rows: usize,
-    disconnected: bool,
+    error: Option<io::Error>,
 }
 
 impl<'w, W: Write> CheckedWriter<'w, W> {
@@ -165,24 +167,24 @@ impl<'w, W: Write> CheckedWriter<'w, W> {
         CheckedWriter {
             out,
             rows: 0,
-            disconnected: false,
+            error: None,
         }
     }
 
     /// Writes one non-data line (header, marker).
     fn line(&mut self, line: std::fmt::Arguments<'_>) {
-        if self.disconnected {
+        if self.error.is_some() {
             return;
         }
-        if writeln!(self.out, "{line}").is_err() {
-            self.disconnected = true;
+        if let Err(e) = writeln!(self.out, "{line}") {
+            self.error = Some(e);
         }
     }
 
     /// Writes one data row, counting it when it went out.
     fn data_line(&mut self, line: std::fmt::Arguments<'_>) {
         self.line(line);
-        self.rows += usize::from(!self.disconnected);
+        self.rows += usize::from(self.error.is_none());
     }
 }
 
@@ -191,13 +193,13 @@ impl<'w, W: Write> CheckedWriter<'w, W> {
 pub fn body_string(stmt: &PreparedStatement, opts: &ExecOptions) -> Result<String, EngineError> {
     let mut buf = Vec::new();
     let outcome = write_body(&mut buf, stmt, opts)?;
-    debug_assert!(!outcome.disconnected, "Vec writes cannot fail");
+    debug_assert!(outcome.write_error.is_none(), "Vec writes cannot fail");
     Ok(String::from_utf8(buf).expect("result bodies are UTF-8"))
 }
 
 /// The io-error kinds that mean "the consumer went away" on a socket or
-/// pipe — shared by the server session and the CLI for deciding between
-/// a quiet stop and a real error.
+/// pipe: the CLI stops quietly on these and reports any other write
+/// error. (The server ends the session on every socket error.)
 pub fn is_disconnect(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -261,12 +263,12 @@ mod tests {
 
     #[test]
     fn disconnect_is_reported_not_fatal() {
-        /// A writer that fails after `n` successful writes.
-        struct Flaky(usize);
+        /// A writer that fails with `kind` after `n` successful writes.
+        struct Flaky(usize, io::ErrorKind);
         impl Write for Flaky {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
                 if self.0 == 0 {
-                    return Err(io::Error::new(io::ErrorKind::BrokenPipe, "gone"));
+                    return Err(io::Error::new(self.1, "gone"));
                 }
                 self.0 -= 1;
                 Ok(buf.len())
@@ -277,8 +279,18 @@ mod tests {
         }
         let e = engine();
         let stmt = e.prepare("F(a, b)").unwrap();
-        let outcome = write_body(&mut Flaky(2), &stmt, &ExecOptions::default()).unwrap();
-        assert!(outcome.disconnected);
-        assert!(outcome.rows < 3, "a prefix at most: {}", outcome.rows);
+        // A closed pipe and a full disk both stop the body; only the
+        // first is a disconnect.
+        for (kind, disconnect) in [
+            (io::ErrorKind::BrokenPipe, true),
+            (io::ErrorKind::StorageFull, false),
+        ] {
+            let mut out = Flaky(2, kind);
+            let outcome = write_body(&mut out, &stmt, &ExecOptions::default()).unwrap();
+            let err = outcome.write_error.expect("the failed write is reported");
+            assert_eq!(err.kind(), kind);
+            assert_eq!(is_disconnect(&err), disconnect, "{kind:?}");
+            assert!(outcome.rows < 3, "a prefix at most: {}", outcome.rows);
+        }
     }
 }

@@ -276,7 +276,7 @@ fn run_query(
             write_explain(&mut body, &stmt, &opts, format == ExplainFormat::Json)
         });
         return match result {
-            Ok(false) => Ok(false),
+            Ok(Some(_write_error)) => Ok(false),
             result => reply(writer, shared, result.map(|_| 0)).map(|()| true),
         };
     }
@@ -341,7 +341,7 @@ fn execute_statement(
     };
     drop(permit); // the response is produced; free the workers before flushing OK
     let rows = match outcome.inspect(|o| absorb(&shared.metrics, o)) {
-        Ok(o) if o.disconnected => return Ok(false),
+        Ok(o) if o.write_error.is_some() => return Ok(false),
         Ok(o) if o.deadline_exceeded => Err(EngineError::DeadlineExceeded),
         Ok(o) => Ok(o.rows),
         Err(e) => Err(e),

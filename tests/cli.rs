@@ -376,3 +376,48 @@ fn usage_on_no_args() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+/// A stdout that cannot be written is a failure (exit 1), not a silent
+/// success: the rows never arrived anywhere.
+#[cfg(target_os = "linux")]
+#[test]
+fn unwritable_stdout_is_an_error() {
+    let r = write_temp("full.tsv", "1\n2\n3\n");
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .unwrap();
+    let out = msj()
+        .args(["--rel", &format!("R={}", r.display()), "R(x)"])
+        .stdout(full)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("write error"), "{stderr}");
+}
+
+/// A reader that goes away (`msj … | head -1`) ends the run quietly.
+#[test]
+fn closed_pipe_after_the_header_is_a_quiet_success() {
+    use std::io::BufRead;
+    // Far more than a pipe buffer holds, so msj is still writing when the
+    // reader closes its end.
+    let rows: String = (1..=200_000).map(|i| format!("{i}\n")).collect();
+    let r = write_temp("many.tsv", &rows);
+    let mut child = msj()
+        .args(["--rel", &format!("R={}", r.display()), "R(x)"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut header = String::new();
+    stdout.read_line(&mut header).unwrap();
+    assert_eq!(header, "# x\n");
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
